@@ -8,9 +8,9 @@
 //!   models actually run (batch 64, hidden 32, GRU width 8), which sit
 //!   below or near the packed kernel's crossover and stress per-call
 //!   overhead;
-//! * **square and tall** products large enough to take the packed,
-//!   cache-blocked path and (above `PAR_MIN_ELEMS` outputs) the
-//!   parallel row-block fan-out, which measure kernel throughput.
+//! * **square and tall** products large enough to take the packed
+//!   path and (from `PAR_MIN_ELEMS` multiply-adds up) the parallel
+//!   row-block fan-out, which measure kernel throughput.
 //!
 //! Besides GF/s per shape, the run cross-checks every layout against
 //! the plain `matmul` formulation bit-for-bit (`f64::to_bits`) and
@@ -59,8 +59,8 @@ fn shapes(fast: bool) -> Vec<GemmShape> {
         GemmShape::new(256, 192, 160, 60),
     ];
     if !fast {
-        // Large enough that `m * n` crosses PAR_MIN_ELEMS and the row
-        // blocks fan out over the worker pool.
+        // Large enough that `m * k * n` crosses PAR_MIN_ELEMS and the
+        // row blocks fan out over the worker pool.
         v.push(GemmShape::new(512, 384, 768, 12));
         v.push(GemmShape::new(1024, 256, 512, 10));
     }
@@ -95,6 +95,9 @@ pub struct GemmOpsSummary {
     /// Throughput of the largest shape's plain `matmul`, the headline
     /// number the bench gate tracks.
     pub peak_nn_gflops: f64,
+    /// The GEMM microkernel this CPU ran (`"avx2"` or `"scalar"`), so
+    /// records from different CPUs can be told apart.
+    pub microkernel: &'static str,
 }
 
 impl GemmOpsSummary {
@@ -113,9 +116,9 @@ impl GemmOpsSummary {
             ));
         }
         format!(
-            "{{\n    \"peak_nn_gflops\": {:.3},\n    \"golden_checksum\": \"{:016x}\",\n    \
-             \"shapes\": [{}]\n  }}",
-            self.peak_nn_gflops, self.golden_checksum, per_shape
+            "{{\n    \"microkernel\": \"{}\",\n    \"peak_nn_gflops\": {:.3},\n    \
+             \"golden_checksum\": \"{:016x}\",\n    \"shapes\": [{}]\n  }}",
+            self.microkernel, self.peak_nn_gflops, self.golden_checksum, per_shape
         )
     }
 }
@@ -233,10 +236,14 @@ pub fn run_with_summary(
         peak_nn_gflops: peak.nn_gflops,
         golden_checksum: checksum,
         shapes: results,
+        microkernel: env2vec_linalg::active_microkernel(),
     };
 
     let mut text = String::new();
-    text.push_str("GEMM microbenchmark (packed cache-blocked kernel)\n\n");
+    text.push_str(&format!(
+        "GEMM microbenchmark (packed register-blocked kernel, {} microkernel)\n\n",
+        summary.microkernel
+    ));
     text.push_str(&format!(
         "  {:<18} {:>10} {:>10} {:>10}\n",
         "shape (m x k x n)", "nn GF/s", "nt GF/s", "tn GF/s"
@@ -273,6 +280,8 @@ mod tests {
         let json = summary.json_object();
         assert!(json.contains("\"peak_nn_gflops\""));
         assert!(json.contains("\"golden_checksum\""));
+        assert!(json.contains(&format!("\"microkernel\": \"{}\"", summary.microkernel)));
+        assert!(text.contains(summary.microkernel));
         // Same options, same checksum: the golden value is deterministic.
         let (_, again) = run_with_summary(&opts).expect("microbench reruns");
         assert_eq!(summary.golden_checksum, again.golden_checksum);

@@ -10,17 +10,26 @@
 //! predicate needs — is computed *during* packing, which already reads
 //! every element, so the skip support costs no extra pass over B.
 //!
+//! The microkernel has two implementations over the same packed
+//! panels: explicit AVX2 intrinsics (four rows of two `__m256d`
+//! accumulators) and a portable one for every other host. The product
+//! picks one at entry from runtime CPU detection; nothing else selects
+//! it.
+//!
 //! # Why results are bit-identical to the naive `ikj` loop
 //!
 //! Every output element is one IEEE-754 accumulation chain: start at
 //! `0.0`, add `a[i][k]·b[k][j]` for ascending `k`, skipping exactly the
 //! terms the naive kernel skips (bitwise-zero `a` against a finite `b`
 //! row). Register accumulation instead of memory accumulation does not
-//! reassociate that chain, and Rust never contracts `mul`+`add` into a
-//! fused multiply-add implicitly, so the packed kernel, the naive
-//! kernel and every thread count produce identical bits. The one thing
-//! that *would* break this is KC-blocking (partial sums over `k`
-//! re-added to memory) — deliberately not done here.
+//! reassociate that chain, and both microkernels round the product and
+//! the sum separately — the portable one because Rust never contracts
+//! `mul`+`add` into a fused multiply-add implicitly, the AVX2 one
+//! because it issues `_mm256_mul_pd` then `_mm256_add_pd` and never an
+//! FMA — so either kernel, the naive kernel and every thread count
+//! produce identical bits. The one thing that *would* break this is
+//! KC-blocking (partial sums over `k` re-added to memory) — deliberately
+//! not done here.
 //!
 //! The zero-skip follows the same IEEE-754 reasoning as the original
 //! kernel: `0·NaN = 0·inf = NaN`, so a bitwise-zero left entry is only
@@ -38,12 +47,13 @@ use std::thread::LocalKey;
 /// Rows per register tile of the microkernel.
 pub(crate) const MR: usize = 4;
 
-/// Columns per register tile of the microkernel. The builds here target
-/// baseline x86-64 (SSE2: sixteen 128-bit registers), so the 4×4
-/// accumulator is 16 doubles = 8 vector registers — register-resident
-/// with room left for the `a` broadcast and the packed-B loads. A wider
-/// tile (4×8) needs the whole register file and spills every update.
-pub(crate) const NR: usize = 4;
+/// Columns per register tile of the microkernel. With AVX2 the 4×8 tile
+/// is 8 `__m256d` accumulators, which leaves the A broadcast, the two B
+/// loads and the zero-test vector inside the sixteen `ymm` registers.
+/// The portable kernel walks each panel as two 4-column halves, so its
+/// 4×4 accumulator still fits the sixteen 128-bit SSE2 registers of
+/// baseline x86-64.
+pub(crate) const NR: usize = 8;
 
 /// Minimum `2·m·k·n` flops before packing pays for itself; below this
 /// the naive loops win on overhead. Per-element accumulation chains are
@@ -52,14 +62,18 @@ pub(crate) const NR: usize = 4;
 const PACK_MIN_FLOPS: usize = 8192;
 
 /// Minimum output columns for the packed path: narrower products waste
-/// most of the `NR`-wide tile on padding.
-const PACK_MIN_COLS: usize = NR;
+/// most of a 4-column half panel on padding.
+const PACK_MIN_COLS: usize = 4;
 
 /// Minimum `m * k * n` before the product fans row blocks out to the
-/// worker pool. Below this the spawn/join overhead (~µs per scope) is
-/// comparable to the multiply itself. Per-output-row work is identical
-/// in both paths, so the gate affects wall-clock only, never bits.
-pub(crate) const PAR_MIN_ELEMS: usize = 1 << 17;
+/// worker pool. Training-sized products (64×80×40 = 205k and smaller)
+/// stay on the calling thread: with the AVX2 kernel such a product takes
+/// ~30 µs, and fanning it out over 2 threads measured slower in every
+/// round on a 2-vCPU host; from ~2^20 up the fan-out won whenever the
+/// second vCPU was free (DESIGN.md §5e). Per-output-row work is
+/// identical in both paths, so the gate affects wall-clock only, never
+/// bits.
+pub(crate) const PAR_MIN_ELEMS: usize = 1 << 20;
 
 /// Rows per parallel job: big enough to amortise queue traffic, small
 /// enough to balance load across workers on paper-sized matrices. A
@@ -89,45 +103,184 @@ fn with_scratch<T: Default, R>(key: &'static LocalKey<Cell<T>>, f: impl FnOnce(&
     })
 }
 
-/// The `MR×NR` register microkernel: one full-`k` pass over a packed A
-/// panel (`MR` values per `k`) and a packed B panel (`NR` values per
-/// `k`), accumulating into registers in ascending-`k` order.
+/// One register tile's accumulator.
+type Tile = [[f64; NR]; MR];
+
+/// The microkernel this process runs, chosen once per product.
+///
+/// The `avx2` flag is private to this module and is only set after the
+/// CPU reported AVX2 (by [`Microkernel::detect`], and by the kernel
+/// test once `detect` has) — the invariant the intrinsic kernel's call
+/// relies on.
+#[derive(Clone, Copy)]
+struct Microkernel {
+    avx2: bool,
+}
+
+impl Microkernel {
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        Microkernel { avx2 }
+    }
+
+    fn name(self) -> &'static str {
+        if self.avx2 {
+            "avx2"
+        } else {
+            "scalar"
+        }
+    }
+
+    /// One full-`k` pass of an `MR×NR` tile: `pa` holds `MR` values per
+    /// `k`, `pb` holds `NR` values per `k`, `finite[k]` is 1 when B's
+    /// whole `k`-slice is finite. Overwrites `acc`.
+    #[inline]
+    fn run(self, pa: &[f64], pb: &[f64], finite: &[u8], acc: &mut Tile) {
+        #[cfg(target_arch = "x86_64")]
+        if self.avx2 {
+            // SAFETY: `avx2` is only true when `detect` saw the CPU
+            // report AVX2, the one requirement of this target-feature
+            // function.
+            unsafe { avx2::microkernel(pa, pb, finite, acc) };
+            return;
+        }
+        microkernel_scalar(pa, pb, finite, acc);
+    }
+}
+
+/// Name of the GEMM microkernel this CPU runs: `"avx2"` or `"scalar"`.
+/// Bench records carry it so figures from different CPUs can be told
+/// apart; the result bits are the same under either.
+pub fn active_microkernel() -> &'static str {
+    Microkernel::detect().name()
+}
+
+/// The portable `MR×NR` microkernel: one full-`k` pass per 4-column
+/// half of the panel, each half with a 4×4 register accumulator.
+fn microkernel_scalar(pa: &[f64], pb: &[f64], finite: &[u8], acc: &mut Tile) {
+    scalar_half::<0>(pa, pb, finite, acc);
+    scalar_half::<{ NR / 2 }>(pa, pb, finite, acc);
+}
+
+/// Columns `OFF..OFF + NR/2` of [`microkernel_scalar`].
 ///
 /// Each `k` step dispatches once: if the A column holds no bitwise zero
 /// — or the opposing B slice is non-finite, which forbids skipping —
-/// no skip can fire, so the update runs a branch-free `MR×NR` rank-1
+/// no skip can fire, so the update runs a branch-free rank-1
 /// accumulation that the compiler vectorizes. Only columns that really
 /// contain a skippable zero take the per-row branchy lane. Both lanes
 /// add the exact same terms in the exact same order, so the dispatch is
 /// invisible in the bits.
 #[inline]
-fn microkernel(pa: &[f64], pb: &[f64], finite: &[u8], acc: &mut [[f64; NR]; MR]) {
+fn scalar_half<const OFF: usize>(pa: &[f64], pb: &[f64], finite: &[u8], acc: &mut Tile) {
+    let mut part = [[0.0_f64; NR / 2]; MR];
     let (a_cols, _) = pa.as_chunks::<MR>();
     let (b_rows, _) = pb.as_chunks::<NR>();
     for ((a_col, b_row), &fin) in a_cols.iter().zip(b_rows).zip(finite.iter()) {
+        let b_half = &b_row[OFF..OFF + NR / 2];
         // envlint: allow(float-cmp) — exact sparsity test: only a
         // bitwise-zero left entry is ever skippable.
         let any_zero = a_col.contains(&0.0);
         if any_zero && fin != 0 {
-            for (acc_row, &a) in acc.iter_mut().zip(a_col) {
+            for (part_row, &a) in part.iter_mut().zip(a_col) {
                 // envlint: allow(float-cmp) — exact sparsity skip: only
                 // a bitwise zero contributes nothing, and only against a
                 // finite rhs slice (IEEE-754: 0·NaN = 0·inf = NaN).
                 if a == 0.0 {
                     continue;
                 }
-                for (o, &b) in acc_row.iter_mut().zip(b_row) {
+                for (o, &b) in part_row.iter_mut().zip(b_half) {
                     *o += a * b;
                 }
             }
         } else {
-            for (acc_row, &a) in acc.iter_mut().zip(a_col) {
-                for (o, &b) in acc_row.iter_mut().zip(b_row) {
+            for (part_row, &a) in part.iter_mut().zip(a_col) {
+                for (o, &b) in part_row.iter_mut().zip(b_half) {
                     *o += a * b;
                 }
             }
         }
     }
+    for (acc_row, part_row) in acc.iter_mut().zip(&part) {
+        acc_row[OFF..OFF + NR / 2].copy_from_slice(part_row);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use std::arch::x86_64::{
+        __m256d, _mm256_add_pd, _mm256_cmp_pd, _mm256_loadu_pd, _mm256_movemask_pd, _mm256_mul_pd,
+        _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd, _CMP_EQ_OQ,
+    };
+
+    use super::{Tile, MR, NR};
+
+    /// The AVX2 `MR×NR` microkernel: the same terms in the same order as
+    /// [`super::microkernel_scalar`], so the same bits.
+    ///
+    /// Per `k`, one `cmp_pd`+`movemask` of the packed A column finds its
+    /// bitwise zeros (`_CMP_EQ_OQ` is true for `±0.0` and false for NaN,
+    /// exactly `a == 0.0`). Only when one meets a finite B slice does
+    /// the step take the lane that leaves those rows out; otherwise all
+    /// four rows update. Each update is `_mm256_mul_pd` then
+    /// `_mm256_add_pd`, two roundings, never a fused multiply-add.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn microkernel(pa: &[f64], pb: &[f64], finite: &[u8], acc: &mut Tile) {
+        let (a_cols, _) = pa.as_chunks::<MR>();
+        let (b_rows, _) = pb.as_chunks::<NR>();
+        let zero = _mm256_setzero_pd();
+        let mut c: [[__m256d; 2]; MR] = [[zero; 2]; MR];
+        for ((a_col, b_row), &fin) in a_cols.iter().zip(b_rows).zip(finite.iter()) {
+            // SAFETY: `a_col` is a `[f64; 4]` and `b_row` a `[f64; 8]`,
+            // so each unaligned 4-lane load reads inside its array.
+            let (a, b0, b1) = unsafe {
+                (
+                    _mm256_loadu_pd(a_col.as_ptr()),
+                    _mm256_loadu_pd(b_row.as_ptr()),
+                    _mm256_loadu_pd(b_row.as_ptr().add(4)),
+                )
+            };
+            let zeros = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_EQ_OQ>(a, zero));
+            if zeros != 0 && fin != 0 {
+                for (r, (c_row, &ar)) in c.iter_mut().zip(a_col).enumerate() {
+                    if zeros & (1 << r) != 0 {
+                        continue;
+                    }
+                    let av = _mm256_set1_pd(ar);
+                    c_row[0] = _mm256_add_pd(c_row[0], _mm256_mul_pd(av, b0));
+                    c_row[1] = _mm256_add_pd(c_row[1], _mm256_mul_pd(av, b1));
+                }
+            } else {
+                for (c_row, &ar) in c.iter_mut().zip(a_col) {
+                    let av = _mm256_set1_pd(ar);
+                    c_row[0] = _mm256_add_pd(c_row[0], _mm256_mul_pd(av, b0));
+                    c_row[1] = _mm256_add_pd(c_row[1], _mm256_mul_pd(av, b1));
+                }
+            }
+        }
+        for (acc_row, c_row) in acc.iter_mut().zip(&c) {
+            // SAFETY: `acc_row` is a `[f64; 8]`; the stores write lanes
+            // 0..4 and 4..8 of it.
+            unsafe {
+                _mm256_storeu_pd(acc_row.as_mut_ptr(), c_row[0]);
+                _mm256_storeu_pd(acc_row.as_mut_ptr().add(4), c_row[1]);
+            }
+        }
+    }
+}
+
+/// The packed right operand of one product and the microkernel that
+/// multiplies against it.
+#[derive(Clone, Copy)]
+struct PackedB<'a> {
+    /// `NR`-column panels, `k·NR` doubles each.
+    panels: &'a [f64],
+    /// Per-`k` finiteness of the whole right operand (1 = finite).
+    finite: &'a [u8],
+    kernel: Microkernel,
 }
 
 /// Computes the C rows in `rows` (a contiguous slab `out_rows`, row
@@ -145,8 +298,7 @@ fn gemm_rows(
     rows: Range<usize>,
     n: usize,
     k: usize,
-    pb: &[f64],
-    finite: &[u8],
+    b: PackedB,
     mut pack_a_panel: impl FnMut(usize, usize, &mut [f64]),
 ) {
     with_scratch(&PA_SCRATCH, |pa| {
@@ -164,12 +316,12 @@ fn gemm_rows(
         let mut j0 = 0;
         while j0 < n {
             let w = NR.min(n - j0);
-            let b_panel = &pb[(j0 / NR) * k * NR..][..k * NR];
+            let b_panel = &b.panels[(j0 / NR) * k * NR..][..k * NR];
             for (pi, a_panel) in pa.chunks_exact(k * MR).enumerate() {
                 let p0 = pi * MR;
                 let h = MR.min(h_total - p0);
                 let mut acc = [[0.0_f64; NR]; MR];
-                microkernel(a_panel, b_panel, finite, &mut acc);
+                b.kernel.run(a_panel, b_panel, b.finite, &mut acc);
                 for (r, acc_row) in acc.iter().enumerate().take(h) {
                     let dst = &mut out_rows[(p0 + r) * n + j0..][..w];
                     dst.copy_from_slice(&acc_row[..w]);
@@ -258,17 +410,14 @@ fn parallel(m: usize, k: usize, n: usize) -> bool {
 pub(crate) fn gemm_nn(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
     debug_assert_eq!(out.len(), m * n);
     if packable(m, k, n) {
-        with_scratch(&PB_SCRATCH, |pb| {
-            with_scratch(&FIN_SCRATCH, |fin| {
-                pack_b_nn(b, k, n, pb, fin);
-                let pb = &pb[..packed_b_len(k, n)];
-                run_packed(out, m, n, k, |rows, out_block| {
-                    gemm_rows(out_block, rows, n, k, pb, fin, |first, h, dest| {
-                        pack_a_rows(a, k, first, h, dest);
-                    });
-                });
-            });
-        });
+        gemm_packed(
+            out,
+            m,
+            k,
+            n,
+            |pb, fin| pack_b_nn(b, k, n, pb, fin),
+            |first, h, dest| pack_a_rows(a, k, first, h, dest),
+        );
     } else {
         naive_nn(a, m, k, b, n, out);
     }
@@ -279,17 +428,14 @@ pub(crate) fn gemm_nn(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &
 pub(crate) fn gemm_nt(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
     debug_assert_eq!(out.len(), m * n);
     if packable(m, k, n) {
-        with_scratch(&PB_SCRATCH, |pb| {
-            with_scratch(&FIN_SCRATCH, |fin| {
-                pack_b_nt(b, n, k, pb, fin);
-                let pb = &pb[..packed_b_len(k, n)];
-                run_packed(out, m, n, k, |rows, out_block| {
-                    gemm_rows(out_block, rows, n, k, pb, fin, |first, h, dest| {
-                        pack_a_rows(a, k, first, h, dest);
-                    });
-                });
-            });
-        });
+        gemm_packed(
+            out,
+            m,
+            k,
+            n,
+            |pb, fin| pack_b_nt(b, n, k, pb, fin),
+            |first, h, dest| pack_a_rows(a, k, first, h, dest),
+        );
     } else {
         naive_nt(a, m, k, b, n, out);
     }
@@ -300,20 +446,45 @@ pub(crate) fn gemm_nt(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &
 pub(crate) fn gemm_tn(a: &[f64], k: usize, m: usize, b: &[f64], n: usize, out: &mut [f64]) {
     debug_assert_eq!(out.len(), m * n);
     if packable(m, k, n) {
-        with_scratch(&PB_SCRATCH, |pb| {
-            with_scratch(&FIN_SCRATCH, |fin| {
-                pack_b_nn(b, k, n, pb, fin);
-                let pb = &pb[..packed_b_len(k, n)];
-                run_packed(out, m, n, k, |rows, out_block| {
-                    gemm_rows(out_block, rows, n, k, pb, fin, |first, h, dest| {
-                        pack_a_cols(a, m, k, first, h, dest);
-                    });
-                });
-            });
-        });
+        gemm_packed(
+            out,
+            m,
+            k,
+            n,
+            |pb, fin| pack_b_nn(b, k, n, pb, fin),
+            |first, h, dest| pack_a_cols(a, m, k, first, h, dest),
+        );
     } else {
         naive_tn(a, k, m, b, n, out);
     }
+}
+
+/// The packed path shared by the three layouts: `pack_b` fills the
+/// `NR`-column panels and the per-`k` finiteness, `pack_a` one `MR`-row
+/// panel (see [`gemm_rows`]). The microkernel is chosen here, once per
+/// product.
+fn gemm_packed(
+    out: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+    pack_b: impl FnOnce(&mut Vec<f64>, &mut Vec<u8>),
+    pack_a: impl Fn(usize, usize, &mut [f64]) + Sync,
+) {
+    let kernel = Microkernel::detect();
+    with_scratch(&PB_SCRATCH, |pb| {
+        with_scratch(&FIN_SCRATCH, |fin| {
+            pack_b(pb, fin);
+            let b = PackedB {
+                panels: &pb[..packed_b_len(k, n)],
+                finite: fin,
+                kernel,
+            };
+            run_packed(out, m, n, k, |rows, out_block| {
+                gemm_rows(out_block, rows, n, k, b, &pack_a);
+            });
+        });
+    });
 }
 
 /// Dispatches packed row-block work either sequentially or across the
@@ -557,6 +728,83 @@ fn col_finiteness(data: &[f64], rows: usize, cols: usize, fin: &mut Vec<u8>) {
     for r in 0..rows {
         for (f, x) in fin.iter_mut().zip(&data[r * cols..(r + 1) * cols]) {
             *f &= u8::from(x.is_finite());
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// SplitMix64 step, so the panels need no rand dependency.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Mostly finite values in [-4, 4), with `0.0`, `-0.0`, NaN and
+    /// `±inf` mixed in often enough that both lanes of each kernel run
+    /// at every depth.
+    fn value(state: &mut u64) -> f64 {
+        match next(state) % 24 {
+            0..=2 => 0.0,
+            3 | 4 => -0.0,
+            5 => f64::NAN,
+            6 => f64::INFINITY,
+            7 => f64::NEG_INFINITY,
+            // A full 53-bit mantissa, so products are inexact and a
+            // fused multiply-add would change the bits.
+            _ => (next(state) >> 11) as f64 / (1u64 << 50) as f64 - 4.0,
+        }
+    }
+
+    /// The bits a result is compared by. Rust leaves the sign and
+    /// payload of a NaN result unspecified when two different NaNs meet
+    /// (LLVM may swap the operands of an add or a multiply), so every
+    /// NaN compares as one value; every other result, `±0.0` and `±inf`
+    /// included, compares bit for bit.
+    fn bits(x: f64) -> u64 {
+        if x.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            x.to_bits()
+        }
+    }
+
+    #[test]
+    fn scalar_and_avx2_microkernels_are_bit_identical() {
+        if Microkernel::detect().name() != "avx2" {
+            eprintln!("skipped: this CPU has no AVX2");
+            return;
+        }
+        let mut state = 0x00dd_ba11;
+        for k in 0..=33 {
+            for _ in 0..64 {
+                let pa: Vec<f64> = (0..k * MR).map(|_| value(&mut state)).collect();
+                let pb: Vec<f64> = (0..k * NR).map(|_| value(&mut state)).collect();
+                // A non-finite value outside this panel also clears a
+                // slice's flag, so some finite slices read 0 as well.
+                let finite: Vec<u8> = pb
+                    .chunks_exact(NR)
+                    .map(|s| {
+                        u8::from(
+                            s.iter().all(|x| x.is_finite()) && !next(&mut state).is_multiple_of(4),
+                        )
+                    })
+                    .collect();
+                let mut want = [[f64::NAN; NR]; MR];
+                let mut got = [[f64::NAN; NR]; MR];
+                microkernel_scalar(&pa, &pb, &finite, &mut want);
+                Microkernel { avx2: true }.run(&pa, &pb, &finite, &mut got);
+                for (r, (w, g)) in want.iter().zip(&got).enumerate() {
+                    for (c, (&x, &y)) in w.iter().zip(g).enumerate() {
+                        assert_eq!(bits(x), bits(y), "k={k} row {r} col {c}: {x} vs {y}");
+                    }
+                }
+            }
         }
     }
 }

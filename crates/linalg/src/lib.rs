@@ -35,4 +35,5 @@ pub mod stats;
 pub mod vector;
 
 pub use error::{Error, Result};
+pub use gemm::active_microkernel;
 pub use matrix::Matrix;

@@ -21,8 +21,7 @@ use crate::gemm;
 /// tile to stay L1-resident.
 const TRANSPOSE_BLOCK: usize = 32;
 
-/// Minimum `rows * cols` before `matvec` parallelises, mirroring
-/// [`gemm::PAR_MIN_ELEMS`].
+/// Minimum `rows * cols` before `matvec` parallelises.
 const MATVEC_PAR_ELEMS: usize = 1 << 17;
 
 /// Rows per `matvec` job (each row is a single dot product).

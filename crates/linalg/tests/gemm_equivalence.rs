@@ -38,6 +38,15 @@ impl Rng {
     fn matrix(&mut self, rows: usize, cols: usize) -> Matrix {
         Matrix::from_fn(rows, cols, |_, _| self.value())
     }
+
+    /// Like [`Rng::matrix`], but with a full 53-bit mantissa: products
+    /// of [`Rng::value`]s are exact, so only these inputs show a kernel
+    /// that rounds differently (a fused multiply-add, say).
+    fn full_matrix(&mut self, rows: usize, cols: usize) -> Matrix {
+        Matrix::from_fn(rows, cols, |_, _| {
+            (self.next_u64() >> 11) as f64 / (1u64 << 50) as f64 - 4.0
+        })
+    }
 }
 
 /// Reference `A·B`, mirroring the documented semantics: ascending-`k`
@@ -131,6 +140,39 @@ fn matmul_tn_matches_explicit_transpose_bitwise() {
     }
 }
 
+/// Every remainder width of an 8-column B panel (`n` in 1..=17, one
+/// full panel plus each ragged tail) against row counts that leave a
+/// ragged 4-row A panel, deep enough in `k` that every `n >= 4` takes
+/// the packed path. One left entry per product is a bitwise zero and
+/// one right entry non-finite, so both microkernel lanes run.
+#[test]
+fn every_panel_remainder_width_matches_reference_bitwise() {
+    let mut rng = Rng(0x0808);
+    let k = 129;
+    for n in 1..=17 {
+        for m in [9, 30, 67] {
+            let mut a = rng.full_matrix(m, k);
+            let mut b = rng.full_matrix(k, n);
+            a.set(m / 2, k / 3, 0.0);
+            b.set((n * 7) % k, n - 1, f64::INFINITY);
+            let want = reference_nn(&a, &b);
+            assert_bits_eq(&a.matmul(&b).unwrap(), &want, &format!("nn {m}x{k}x{n}"));
+            let bt = b.transpose();
+            assert_bits_eq(
+                &a.matmul_nt(&bt).unwrap(),
+                &want,
+                &format!("nt {m}x{k}x{n}"),
+            );
+            let at = a.transpose();
+            assert_bits_eq(
+                &at.matmul_tn(&b).unwrap(),
+                &want,
+                &format!("tn {m}x{k}x{n}"),
+            );
+        }
+    }
+}
+
 /// Plants NaN and inf entries in scattered positions so some right-hand
 /// rows/columns are non-finite: the zero-skip must not run against them
 /// (IEEE-754: 0·NaN = 0·inf = NaN).
@@ -194,8 +236,9 @@ fn signed_zero_rows_match_reference_bitwise() {
 #[test]
 fn all_layouts_are_bit_identical_across_thread_counts() {
     let mut rng = Rng(0xbeef);
-    // Big enough to cross the parallel gate, ragged on both axes.
-    let (m, k, n) = (130, 67, 90);
+    // Big enough to cross the parallel gate (m·k·n >= 2^20), ragged on
+    // both axes.
+    let (m, k, n) = (130, 67, 131);
     let a = rng.matrix(m, k);
     let b_nn = rng.matrix(k, n);
     let b_nt = rng.matrix(n, k);

@@ -127,7 +127,9 @@ pub fn traceparent_for(
 ) -> Option<String> {
     let every = opts.trace_every.filter(|&n| n > 0)?;
     let index = connection * opts.requests_per_connection + sequence;
-    index.is_multiple_of(every).then(|| TraceContext::from_seed(index as u64, true).format())
+    index
+        .is_multiple_of(every)
+        .then(|| TraceContext::from_seed(index as u64, true).format())
 }
 
 struct ConnOutcome {
