@@ -14,6 +14,7 @@
 use env2vec_linalg::{Error, Matrix, Result};
 use env2vec_nn::graph::{Graph, NodeId};
 use env2vec_nn::layers::{dropout_mask, Activation, AttentionPool, Dense, Embedding, GruCell};
+use env2vec_nn::ops;
 use env2vec_nn::params::{Bound, ParamSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -127,6 +128,26 @@ impl TargetScaler {
     pub fn unscale(&self, y: f64) -> f64 {
         y * self.std + self.mean
     }
+}
+
+/// The GRU's input sequence: one `B x 1` column of scaled history per
+/// timestep, oldest first.
+fn history_steps(batch: &Dataframe, y_scaler: &TargetScaler) -> Vec<Matrix> {
+    (0..batch.history.cols())
+        .map(|t| {
+            let col: Vec<f64> = batch
+                .history
+                .col_iter(t)
+                .map(|v| y_scaler.scale(v))
+                .collect();
+            Matrix::col_vector(&col)
+        })
+        .collect()
+}
+
+/// Unscaled predictions from a scaled `B x 1` prediction column.
+fn unscaled(pred: &Matrix, y_scaler: &TargetScaler) -> Vec<f64> {
+    pred.col_iter(0).map(|v| y_scaler.unscale(v)).collect()
 }
 
 /// The layers implementing the configured [`Combination`] mode.
@@ -327,18 +348,11 @@ impl Env2VecModel {
             }
         }
         // GRU branch over the scaled history, oldest first.
-        let steps: Vec<NodeId> = (0..batch.history.cols())
-            .map(|t| {
-                let col: Vec<f64> = (0..b)
-                    .map(|i| self.y_scaler.scale(batch.history.get(i, t)))
-                    .collect();
-                graph.leaf(Matrix::col_vector(&col))
-            })
-            .collect();
+        let steps = history_steps(batch, &self.y_scaler);
         let v_ts = match &self.attention {
-            None => self.gru.run_sequence(graph, bound, &steps, b)?,
+            None => self.gru.run_sequence(graph, bound, steps)?,
             Some(pool) => {
-                let states = self.gru.run_sequence_all(graph, bound, &steps, b)?;
+                let states = self.gru.run_sequence_all(graph, bound, steps)?;
                 pool.forward(graph, bound, &states)?
             }
         };
@@ -389,18 +403,52 @@ impl Env2VecModel {
         }
     }
 
-    /// Predicts RU values for every row of a dataframe.
+    /// Tape-free forward for a batch: the *scaled* prediction column,
+    /// bit-identical to [`Env2VecModel::forward`] without dropout.
+    pub(crate) fn infer_scaled(&self, batch: &Dataframe) -> Result<Matrix> {
+        if batch.is_empty() {
+            return Err(Error::Empty { routine: "forward" });
+        }
+        let p = &self.params;
+        let cf = self.cf_scaler.transform(&batch.cf)?;
+        let v_fs = self.fnn.infer(p, &cf)?;
+        let mut states = self
+            .gru
+            .infer_sequence(p, &history_steps(batch, &self.y_scaler))?;
+        let v_ts = match &self.attention {
+            None => states.pop().ok_or(Error::Empty { routine: "forward" })?,
+            Some(pool) => pool.infer(p, &states)?,
+        };
+        let v_d = self.dense.infer(p, &ops::concat_cols([&v_ts, &v_fs])?)?;
+        let parts = self
+            .embeddings
+            .iter()
+            .enumerate()
+            .map(|(f, emb)| {
+                let idx: Vec<usize> = batch.em.iter().map(|row| row[f]).collect();
+                emb.infer(p, &idx)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let c = ops::concat_cols(&parts)?;
+        match &self.combination {
+            CombinationLayers::HadamardSum => Ok(ops::row_sums(&ops::mul(&v_d, &c)?)),
+            CombinationLayers::Bilinear { r } => {
+                let vr = ops::matmul(&v_d, p.value(*r))?;
+                Ok(ops::row_sums(&ops::mul(&vr, &c)?))
+            }
+            CombinationLayers::MlpHead { hidden, out } => {
+                let joined = ops::concat_cols([&v_d, &c])?;
+                out.infer(p, &hidden.infer(p, &joined)?)
+            }
+        }
+    }
+
+    /// Predicts RU values for every row of a dataframe, without building
+    /// a tape.
     ///
     /// Returns an error on shape mismatch.
     pub fn predict(&self, batch: &Dataframe) -> Result<Vec<f64>> {
-        let mut graph = Graph::new();
-        let bound = self.params.bind(&mut graph);
-        let pred = self.forward(&mut graph, &bound, batch, None)?;
-        Ok(graph
-            .value(pred)
-            .col_iter(0)
-            .map(|v| self.y_scaler.unscale(v))
-            .collect())
+        Ok(unscaled(&self.infer_scaled(batch)?, &self.y_scaler))
     }
 
     /// The concatenated environment embedding `C` for an EM value tuple,
@@ -542,32 +590,37 @@ impl RfnnModel {
                 v_fs = graph.dropout(v_fs, mask)?;
             }
         }
-        let steps: Vec<NodeId> = (0..batch.history.cols())
-            .map(|t| {
-                let col: Vec<f64> = (0..b)
-                    .map(|i| self.y_scaler.scale(batch.history.get(i, t)))
-                    .collect();
-                graph.leaf(Matrix::col_vector(&col))
-            })
-            .collect();
-        let v_ts = self.gru.run_sequence(graph, bound, &steps, b)?;
+        let v_ts = self
+            .gru
+            .run_sequence(graph, bound, history_steps(batch, &self.y_scaler))?;
         let v_s = graph.concat_cols(&[v_ts, v_fs])?;
         let v_d = self.dense.forward(graph, bound, v_s)?;
         self.head.forward(graph, bound, v_d)
     }
 
-    /// Predicts RU values for every row of a dataframe.
+    /// Tape-free forward: the *scaled* prediction column,
+    /// bit-identical to [`RfnnModel::forward`] without dropout.
+    pub(crate) fn infer_scaled(&self, batch: &Dataframe) -> Result<Matrix> {
+        if batch.is_empty() {
+            return Err(Error::Empty { routine: "forward" });
+        }
+        let p = &self.params;
+        let cf = self.cf_scaler.transform(&batch.cf)?;
+        let v_fs = self.fnn.infer(p, &cf)?;
+        let mut states = self
+            .gru
+            .infer_sequence(p, &history_steps(batch, &self.y_scaler))?;
+        let v_ts = states.pop().ok_or(Error::Empty { routine: "forward" })?;
+        let v_d = self.dense.infer(p, &ops::concat_cols([&v_ts, &v_fs])?)?;
+        self.head.infer(p, &v_d)
+    }
+
+    /// Predicts RU values for every row of a dataframe, without building
+    /// a tape.
     ///
     /// Returns an error on shape mismatch.
     pub fn predict(&self, batch: &Dataframe) -> Result<Vec<f64>> {
-        let mut graph = Graph::new();
-        let bound = self.params.bind(&mut graph);
-        let pred = self.forward(&mut graph, &bound, batch, None)?;
-        Ok(graph
-            .value(pred)
-            .col_iter(0)
-            .map(|v| self.y_scaler.unscale(v))
-            .collect())
+        Ok(unscaled(&self.infer_scaled(batch)?, &self.y_scaler))
     }
 }
 
@@ -651,6 +704,110 @@ mod tests {
         };
         assert!(Env2VecModel::new(Env2VecConfig::fast(), vocab, &empty).is_err());
         assert!(RfnnModel::new(Env2VecConfig::fast(), &empty).is_err());
+    }
+
+    /// A random frame over `vocab`'s EM values (`<unk>` included), with
+    /// raw features and history of mixed scale.
+    fn random_frame(rng: &mut StdRng, n: usize, window: usize, vocab: &EmVocabulary) -> Dataframe {
+        use rand::Rng;
+        let value = |rng: &mut StdRng| match rng.gen_range(0..8) {
+            0 => 0.0,
+            1 => rng.gen_range(-500.0..500.0),
+            _ => rng.gen_range(0.0..90.0),
+        };
+        Dataframe {
+            cf: Matrix::from_fn(n, 3, |_, _| value(rng)),
+            history: Matrix::from_fn(n, window, |_, _| value(rng)),
+            em: (0..n)
+                .map(|_| {
+                    (0..vocab.num_features())
+                        .map(|f| rng.gen_range(0..=vocab.feature(f).len()))
+                        .collect()
+                })
+                .collect(),
+            target: (0..n).map(|_| value(rng)).collect(),
+        }
+    }
+
+    /// Moves every parameter, biases included, off its initial value.
+    fn perturb(params: &mut ParamSet, rng: &mut StdRng) {
+        use rand::Rng;
+        let ids: Vec<_> = params.iter().map(|(id, _, _)| id).collect();
+        for id in ids {
+            for v in params.value_mut(id).as_mut_slice() {
+                *v += rng.gen_range(-0.2..0.2);
+            }
+        }
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn tape_free_forward_matches_the_tape_bit_for_bit() {
+        use crate::config::Combination;
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut vocab = EmVocabulary::telecom();
+        let mut frames = Vec::new();
+        for env in [["tb1", "s1", "tc1", "b1"], ["tb2", "s2", "tc1", "b2"]] {
+            frames.push(toy_frame(30, &env, &mut vocab));
+        }
+        let train = Dataframe::concat(&frames).unwrap();
+        for combination in [
+            Combination::HadamardSum,
+            Combination::Bilinear,
+            Combination::MlpHead,
+        ] {
+            for attention in [false, true] {
+                let config = Env2VecConfig {
+                    combination,
+                    attention,
+                    history_window: 3,
+                    ..Env2VecConfig::fast()
+                };
+                let mut model = Env2VecModel::new(config, vocab.clone(), &train).unwrap();
+                perturb(&mut model.params, &mut rng);
+                let frame = random_frame(&mut rng, 37, 3, &vocab);
+                let mut graph = Graph::new();
+                let bound = model.params.bind(&mut graph);
+                let taped = model.forward(&mut graph, &bound, &frame, None).unwrap();
+                assert_eq!(
+                    bits(graph.value(taped)),
+                    bits(&model.infer_scaled(&frame).unwrap()),
+                    "{combination:?} attention={attention}"
+                );
+            }
+        }
+        let mut rfnn = RfnnModel::new(Env2VecConfig::fast(), &train).unwrap();
+        perturb(&mut rfnn.params, &mut rng);
+        let frame = random_frame(&mut rng, 41, 2, &vocab);
+        let mut graph = Graph::new();
+        let bound = rfnn.params.bind(&mut graph);
+        let taped = rfnn.forward(&mut graph, &bound, &frame, None).unwrap();
+        assert_eq!(
+            bits(graph.value(taped)),
+            bits(&rfnn.infer_scaled(&frame).unwrap())
+        );
+    }
+
+    #[test]
+    fn tape_free_forward_rejects_empty_and_mismatched_frames() {
+        let mut vocab = EmVocabulary::telecom();
+        let df = toy_frame(20, &["tb", "s", "tc", "b"], &mut vocab);
+        let model = Env2VecModel::new(Env2VecConfig::fast(), vocab, &df).unwrap();
+        let rfnn = RfnnModel::new(Env2VecConfig::fast(), &df).unwrap();
+        let empty = df.select(&[]).unwrap();
+        assert!(model.predict(&empty).is_err());
+        assert!(rfnn.predict(&empty).is_err());
+        let mut narrow = df.clone();
+        narrow.cf = Matrix::zeros(df.len(), 2);
+        assert!(model.predict(&narrow).is_err());
+        assert!(rfnn.predict(&narrow).is_err());
+        let mut no_history = df.clone();
+        no_history.history = Matrix::zeros(df.len(), 0);
+        assert!(model.predict(&no_history).is_err());
+        assert!(rfnn.predict(&no_history).is_err());
     }
 
     #[test]

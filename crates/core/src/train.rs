@@ -116,6 +116,7 @@ trait Trainable {
     fn params_mut(&mut self) -> &mut ParamSet;
     fn replace_params(&mut self, params: ParamSet);
     fn scale_target(&self, y: f64) -> f64;
+    fn infer_scaled(&self, batch: &Dataframe) -> Result<Matrix>;
     fn forward_graph(
         &self,
         graph: &mut Graph,
@@ -137,6 +138,9 @@ impl Trainable for Env2VecModel {
     }
     fn scale_target(&self, y: f64) -> f64 {
         self.y_scaler.scale(y)
+    }
+    fn infer_scaled(&self, batch: &Dataframe) -> Result<Matrix> {
+        self.infer_scaled(batch)
     }
     fn forward_graph(
         &self,
@@ -161,6 +165,9 @@ impl Trainable for RfnnModel {
     }
     fn scale_target(&self, y: f64) -> f64 {
         self.y_scaler.scale(y)
+    }
+    fn infer_scaled(&self, batch: &Dataframe) -> Result<Matrix> {
+        self.infer_scaled(batch)
     }
     fn forward_graph(
         &self,
@@ -253,12 +260,10 @@ pub fn fine_tune_env2vec(
     fit(model, &config, train, val, &mut NullObserver)
 }
 
-/// Validation MSE in scaled-target space (no dropout).
+/// Validation MSE in scaled-target space (no dropout), from the
+/// tape-free forward.
 fn scaled_val_mse<M: Trainable>(model: &M, val: &Dataframe) -> Result<f64> {
-    let mut graph = Graph::new();
-    let bound = model.params().bind(&mut graph);
-    let pred = model.forward_graph(&mut graph, &bound, val, None)?;
-    let value = graph.value(pred);
+    let value = model.infer_scaled(val)?;
     let n = value.rows() as f64;
     Ok(value
         .col_iter(0)

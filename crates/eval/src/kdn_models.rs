@@ -201,14 +201,11 @@ impl FnnBaseline {
         })
     }
 
+    /// Tape-free predictions for the rows of `x`.
     fn predict(&self, x: &Matrix) -> Result<Vec<f64>> {
-        let mut g = Graph::new();
-        let bound = self.params.bind(&mut g);
-        let inp = g.leaf(self.scale(x));
-        let h = self.hidden.forward(&mut g, &bound, inp)?;
-        let o = self.head.forward(&mut g, &bound, h)?;
-        Ok(g.value(o)
-            .col_iter(0)
+        let h = self.hidden.infer(&self.params, &self.scale(x))?;
+        let o = self.head.infer(&self.params, &h)?;
+        Ok(o.col_iter(0)
             .map(|v| v * self.y_std + self.y_mean)
             .collect())
     }

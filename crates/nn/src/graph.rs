@@ -11,6 +11,9 @@
 
 use env2vec_linalg::{Error, Matrix, Result};
 
+use crate::gru::{self, GruParams, GruTrace};
+use crate::layers::Activation;
+use crate::ops;
 use crate::profile::{OpCost, OpTimer, Phase};
 
 /// Identifier of a node within one [`Graph`].
@@ -25,7 +28,7 @@ impl NodeId {
 }
 
 /// The operation that produced a node.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     /// A leaf value (input or bound parameter).
     Leaf,
@@ -69,6 +72,24 @@ enum Op {
         start: usize,
         len: usize,
     },
+    /// A whole GRU sequence, fused (see [`crate::gru`]).
+    GruSeq(Box<GruSeqOp>),
+}
+
+/// What a [`Op::GruSeq`] node keeps for its backward step.
+#[derive(Debug)]
+struct GruSeqOp {
+    params: GruParams<NodeId>,
+    candidate: Activation,
+    xs: Vec<Matrix>,
+    trace: GruTrace,
+}
+
+impl GruSeqOp {
+    fn cost(&self, backward: bool) -> OpCost {
+        let hidden = self.trace.h.first().map_or(0, Matrix::cols);
+        gru::cost(&self.xs, hidden, backward)
+    }
 }
 
 impl Op {
@@ -94,12 +115,13 @@ impl Op {
             Op::DropoutMask { .. } => "DropoutMask",
             Op::RowSoftmax(..) => "RowSoftmax",
             Op::SliceCols { .. } => "SliceCols",
+            Op::GruSeq(..) => "GruSeq",
         }
     }
 }
 
 /// One tape entry.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Node {
     value: Matrix,
     grad: Option<Matrix>,
@@ -140,6 +162,9 @@ impl Graph {
                 if buf.capacity() > 0 {
                     self.arena.push(buf);
                 }
+            }
+            if let Op::GruSeq(seq) = node.op {
+                seq.trace.recycle(&mut self.arena);
             }
         }
         // Backstop: a steady-state step takes roughly as many buffers as
@@ -231,6 +256,7 @@ impl Graph {
             // Pure data movement.
             Op::ConcatCols(parts) => (0, parts.len() as u64),
             Op::GatherRows { .. } | Op::SliceCols { .. } => (0, 1),
+            Op::GruSeq(seq) => return seq.cost(false),
         };
         OpCost {
             flops,
@@ -263,6 +289,7 @@ impl Graph {
             Op::GatherRows { .. } | Op::SliceCols { .. } => (n, 1),
             Op::RowSums(a) | Op::MeanAll(a) => (self.nodes[a.0].value.len() as u64, 1),
             Op::RowSoftmax(..) => (4 * n, 1),
+            Op::GruSeq(seq) => return seq.cost(true),
         };
         OpCost {
             flops,
@@ -334,24 +361,9 @@ impl Graph {
     /// Returns an error when `bias` is not a single row of matching width.
     pub fn add_row_broadcast(&mut self, a: NodeId, bias: NodeId) -> Result<NodeId> {
         let timer = OpTimer::start();
-        let av = &self.nodes[a.0].value;
-        let bv = &self.nodes[bias.0].value;
-        if bv.rows() != 1 || bv.cols() != av.cols() {
-            return Err(Error::ShapeMismatch {
-                op: "add_row_broadcast",
-                lhs: av.shape(),
-                rhs: bv.shape(),
-            });
-        }
         let buf = self.take_buf();
-        let av = &self.nodes[a.0].value;
-        let bv = &self.nodes[bias.0].value;
-        let mut v = av.clone_with(buf);
-        for i in 0..v.rows() {
-            for (x, &b) in v.row_mut(i).iter_mut().zip(bv.row(0)) {
-                *x += b;
-            }
-        }
+        let mut v = self.nodes[a.0].value.clone_with(buf);
+        ops::add_row_in_place(&mut v, &self.nodes[bias.0].value)?;
         Ok(self.push(v, Op::AddRowBroadcast(a, bias), timer))
     }
 
@@ -405,9 +417,7 @@ impl Graph {
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
         let timer = OpTimer::start();
         let buf = self.take_buf();
-        let v = self.nodes[a.0]
-            .value
-            .map_with(buf, |x| 1.0 / (1.0 + (-x).exp()));
+        let v = self.nodes[a.0].value.map_with(buf, ops::sigmoid);
         self.push(v, Op::Sigmoid(a), timer)
     }
 
@@ -423,7 +433,7 @@ impl Graph {
     pub fn relu(&mut self, a: NodeId) -> NodeId {
         let timer = OpTimer::start();
         let buf = self.take_buf();
-        let v = self.nodes[a.0].value.map_with(buf, |x| x.max(0.0));
+        let v = self.nodes[a.0].value.map_with(buf, ops::relu);
         self.push(v, Op::Relu(a), timer)
     }
 
@@ -440,35 +450,9 @@ impl Graph {
     /// Returns an error for an empty list or mismatched row counts.
     pub fn concat_cols(&mut self, parts: &[NodeId]) -> Result<NodeId> {
         let timer = OpTimer::start();
-        if parts.is_empty() {
-            return Err(Error::Empty {
-                routine: "concat_cols",
-            });
-        }
-        let rows = self.nodes[parts[0].0].value.rows();
-        let mut cols = 0;
-        for &p in parts {
-            let pv = &self.nodes[p.0].value;
-            if pv.rows() != rows {
-                return Err(Error::ShapeMismatch {
-                    op: "concat_cols",
-                    lhs: (rows, cols),
-                    rhs: pv.shape(),
-                });
-            }
-            cols += pv.cols();
-        }
-        // Single gather into one arena buffer instead of the old
-        // clone-then-repeated-hstack cascade (quadratic allocation).
-        let mut buf = self.take_buf();
-        buf.clear();
-        buf.reserve(rows * cols);
-        for r in 0..rows {
-            for &p in parts {
-                buf.extend_from_slice(self.nodes[p.0].value.row(r));
-            }
-        }
-        let v = Matrix::from_vec(rows, cols, buf)?;
+        let buf = self.take_buf();
+        let values = parts.iter().map(|p| &self.nodes[p.0].value);
+        let v = ops::concat_cols_with(values, buf)?;
         Ok(self.push(v, Op::ConcatCols(parts.to_vec()), timer))
     }
 
@@ -494,8 +478,7 @@ impl Graph {
     pub fn row_sums(&mut self, a: NodeId) -> NodeId {
         let timer = OpTimer::start();
         let buf = self.take_buf();
-        let av = &self.nodes[a.0].value;
-        let v = Matrix::from_fn_with(av.rows(), 1, buf, |i, _| av.row(i).iter().sum());
+        let v = ops::row_sums_with(&self.nodes[a.0].value, buf);
         self.push(v, Op::RowSums(a), timer)
     }
 
@@ -539,8 +522,7 @@ impl Graph {
             });
         }
         let buf = self.take_buf();
-        let av = &self.nodes[a.0].value;
-        let v = Matrix::from_fn_with(av.rows(), len, buf, |i, j| av.get(i, start + j));
+        let v = ops::cols_with(&self.nodes[a.0].value, start, len, buf);
         Ok(self.push(
             v,
             Op::SliceCols {
@@ -557,21 +539,36 @@ impl Graph {
     pub fn row_softmax(&mut self, a: NodeId) -> NodeId {
         let timer = OpTimer::start();
         let buf = self.take_buf();
-        let av = &self.nodes[a.0].value;
-        let mut v = av.clone_with(buf);
-        for i in 0..v.rows() {
-            let row = v.row_mut(i);
-            let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let mut sum = 0.0;
-            for x in row.iter_mut() {
-                *x = (*x - max).exp();
-                sum += *x;
-            }
-            for x in row.iter_mut() {
-                *x /= sum;
-            }
-        }
+        let mut v = self.nodes[a.0].value.clone_with(buf);
+        ops::row_softmax_in_place(&mut v);
         self.push(v, Op::RowSoftmax(a), timer)
+    }
+
+    /// Runs a GRU over a whole sequence as one op (see [`crate::gru`]).
+    /// `xs` are the inputs, oldest first, each `B x in_dim`; they are
+    /// data, so no gradient flows to them. The node's value holds every
+    /// hidden state side by side, `B x (T·hidden)` with `h_t` in column
+    /// block `t - 1`: take states out with [`Graph::slice_cols`].
+    ///
+    /// Returns an error for an empty sequence or mismatched shapes.
+    pub fn gru_seq(
+        &mut self,
+        params: GruParams<NodeId>,
+        xs: Vec<Matrix>,
+        candidate: Activation,
+    ) -> Result<NodeId> {
+        let timer = OpTimer::start();
+        let weights = params.map(|id| &self.nodes[id.0].value);
+        let trace = gru::forward(&weights, &xs, candidate, true, &mut self.arena)?;
+        let buf = self.take_buf();
+        let v = ops::concat_cols_with(&trace.h[1..], buf)?;
+        let op = GruSeqOp {
+            params,
+            candidate,
+            xs,
+            trace,
+        };
+        Ok(self.push(v, Op::GruSeq(Box::new(op)), timer))
     }
 
     /// Convenience: mean-squared-error node between prediction and target.
@@ -601,193 +598,190 @@ impl Graph {
         self.nodes[loss.0].grad = Some(Matrix::filled(1, 1, 1.0));
 
         for i in (0..=loss.0).rev() {
-            // Take the gradient out of the tape for the duration of this
-            // node's step (restored below) — ops only read it, so no
-            // per-node clone is needed.
+            // Take the gradient and the op out of the tape for the
+            // duration of this node's step (both restored below): ops
+            // only read them, so neither is cloned.
             let Some(out_grad) = self.nodes[i].grad.take() else {
                 continue;
             };
-            // Clone the op descriptor to release the borrow on self.nodes.
-            let op = self.nodes[i].op.clone();
+            let op = std::mem::replace(&mut self.nodes[i].op, Op::Leaf);
             let timer = OpTimer::start();
-            let profiled = if timer.armed() {
-                Some((op.name(), self.backward_cost(&op, &out_grad)))
-            } else {
-                None
-            };
-            match op {
-                Op::Leaf => {}
-                Op::MatMul(a, b) => {
-                    // dA = dY·Bᵀ and dB = Aᵀ·dY via the transposed GEMM
-                    // entry points: no transposed copy of A or B is ever
-                    // materialised, and the results are bit-identical to
-                    // the transpose-then-matmul formulation.
-                    let buf = self.take_buf();
-                    let da = out_grad.matmul_nt_with(&self.nodes[b.0].value, buf)?;
-                    let buf = self.take_buf();
-                    let db = self.nodes[a.0].value.matmul_tn_with(&out_grad, buf)?;
-                    self.accumulate(a, da)?;
-                    self.accumulate(b, db)?;
-                }
-                Op::Add(a, b) => {
-                    let g = self.pooled_clone(&out_grad);
-                    self.accumulate(a, g)?;
-                    let g = self.pooled_clone(&out_grad);
-                    self.accumulate(b, g)?;
-                }
-                Op::AddRowBroadcast(a, bias) => {
-                    // Bias gradient is the column-sum of the output grad.
-                    let cols = out_grad.cols();
-                    let buf = self.take_buf();
-                    let mut bias_grad = Matrix::zeros_with(1, cols, buf);
-                    for r in 0..out_grad.rows() {
-                        for (bg, &g) in bias_grad.row_mut(0).iter_mut().zip(out_grad.row(r)) {
-                            *bg += g;
-                        }
-                    }
-                    let g = self.pooled_clone(&out_grad);
-                    self.accumulate(a, g)?;
-                    self.accumulate(bias, bias_grad)?;
-                }
-                Op::Sub(a, b) => {
-                    let g = self.pooled_clone(&out_grad);
-                    self.accumulate(a, g)?;
-                    let buf = self.take_buf();
-                    let g = out_grad.scale_with(-1.0, buf);
-                    self.accumulate(b, g)?;
-                }
-                Op::Mul(a, b) => {
-                    let buf = self.take_buf();
-                    let da = out_grad.hadamard_with(&self.nodes[b.0].value, buf)?;
-                    let buf = self.take_buf();
-                    let db = out_grad.hadamard_with(&self.nodes[a.0].value, buf)?;
-                    self.accumulate(a, da)?;
-                    self.accumulate(b, db)?;
-                }
-                Op::Scale(a, alpha) => {
-                    let buf = self.take_buf();
-                    let g = out_grad.scale_with(alpha, buf);
-                    self.accumulate(a, g)?;
-                }
-                Op::AddScalar(a) => {
-                    let g = self.pooled_clone(&out_grad);
-                    self.accumulate(a, g)?;
-                }
-                Op::Sigmoid(a) => {
-                    // dσ = σ (1 - σ), where σ is this node's forward value.
-                    let buf = self.take_buf();
-                    let local = self.nodes[i].value.map_with(buf, |x| x * (1.0 - x));
-                    let buf = self.take_buf();
-                    let g = out_grad.hadamard_with(&local, buf)?;
-                    self.give_buf(local.into_vec());
-                    self.accumulate(a, g)?;
-                }
-                Op::Tanh(a) => {
-                    let buf = self.take_buf();
-                    let local = self.nodes[i].value.map_with(buf, |x| 1.0 - x * x);
-                    let buf = self.take_buf();
-                    let g = out_grad.hadamard_with(&local, buf)?;
-                    self.give_buf(local.into_vec());
-                    self.accumulate(a, g)?;
-                }
-                Op::Relu(a) => {
-                    let buf = self.take_buf();
-                    let local =
-                        self.nodes[a.0]
-                            .value
-                            .map_with(buf, |x| if x > 0.0 { 1.0 } else { 0.0 });
-                    let buf = self.take_buf();
-                    let g = out_grad.hadamard_with(&local, buf)?;
-                    self.give_buf(local.into_vec());
-                    self.accumulate(a, g)?;
-                }
-                Op::Square(a) => {
-                    let buf = self.take_buf();
-                    let local = self.nodes[a.0].value.scale_with(2.0, buf);
-                    let buf = self.take_buf();
-                    let g = out_grad.hadamard_with(&local, buf)?;
-                    self.give_buf(local.into_vec());
-                    self.accumulate(a, g)?;
-                }
-                Op::ConcatCols(parts) => {
-                    let mut offset = 0;
-                    for p in parts {
-                        let w = self.nodes[p.0].value.cols();
-                        let rows = out_grad.rows();
-                        let buf = self.take_buf();
-                        let slice =
-                            Matrix::from_fn_with(rows, w, buf, |r, c| out_grad.get(r, offset + c));
-                        self.accumulate(p, slice)?;
-                        offset += w;
-                    }
-                }
-                Op::GatherRows { table, indices } => {
-                    let tv = self.nodes[table.0].value.shape();
-                    let buf = self.take_buf();
-                    let mut tg = Matrix::zeros_with(tv.0, tv.1, buf);
-                    for (out_row, &idx) in indices.iter().enumerate() {
-                        for (g, &og) in tg.row_mut(idx).iter_mut().zip(out_grad.row(out_row)) {
-                            *g += og;
-                        }
-                    }
-                    self.accumulate(table, tg)?;
-                }
-                Op::RowSums(a) => {
-                    let shape = self.nodes[a.0].value.shape();
-                    let buf = self.take_buf();
-                    let da = Matrix::from_fn_with(shape.0, shape.1, buf, |r, _| out_grad.get(r, 0));
-                    self.accumulate(a, da)?;
-                }
-                Op::MeanAll(a) => {
-                    let shape = self.nodes[a.0].value.shape();
-                    let g = out_grad.get(0, 0) / (shape.0 * shape.1) as f64;
-                    let buf = self.take_buf();
-                    let da = Matrix::from_fn_with(shape.0, shape.1, buf, |_, _| g);
-                    self.accumulate(a, da)?;
-                }
-                Op::DropoutMask { input, mask } => {
-                    let buf = self.take_buf();
-                    let g = out_grad.hadamard_with(&mask, buf)?;
-                    self.accumulate(input, g)?;
-                }
-                Op::SliceCols { input, start, len } => {
-                    let shape = self.nodes[input.0].value.shape();
-                    let buf = self.take_buf();
-                    let mut da = Matrix::zeros_with(shape.0, shape.1, buf);
-                    for r in 0..out_grad.rows() {
-                        for jj in 0..len {
-                            da.set(r, start + jj, out_grad.get(r, jj));
-                        }
-                    }
-                    self.accumulate(input, da)?;
-                }
-                Op::RowSoftmax(a) => {
-                    // dX_i = p_i ⊙ (dY_i − (dY_i · p_i) 1), per row.
-                    let buf = self.take_buf();
-                    let p = &self.nodes[i].value;
-                    let mut da = Matrix::zeros_with(p.rows(), p.cols(), buf);
-                    for r in 0..p.rows() {
-                        let dot: f64 = out_grad
-                            .row(r)
-                            .iter()
-                            .zip(p.row(r))
-                            .map(|(g, q)| g * q)
-                            .sum();
-                        for ((d, &g), &q) in
-                            da.row_mut(r).iter_mut().zip(out_grad.row(r)).zip(p.row(r))
-                        {
-                            *d = q * (g - dot);
-                        }
-                    }
-                    self.accumulate(a, da)?;
-                }
-            }
+            let profiled = timer
+                .armed()
+                .then(|| (op.name(), self.backward_cost(&op, &out_grad)));
+            let step = self.backward_step(i, &op, &out_grad);
+            self.nodes[i].op = op;
             self.nodes[i].grad = Some(out_grad);
+            step?;
             if let Some((name, cost)) = profiled {
                 timer.finish(Phase::Backward, name, i, cost);
             }
         }
         Ok(())
+    }
+
+    /// Sends node `i`'s output gradient through its op `op` into the
+    /// op's inputs.
+    fn backward_step(&mut self, i: usize, op: &Op, out_grad: &Matrix) -> Result<()> {
+        match *op {
+            Op::Leaf => {}
+            Op::MatMul(a, b) => {
+                // dA = dY·Bᵀ and dB = Aᵀ·dY via the transposed GEMM
+                // entry points: no transposed copy of A or B is ever
+                // materialised, and the results are bit-identical to
+                // the transpose-then-matmul formulation.
+                let buf = self.take_buf();
+                let da = out_grad.matmul_nt_with(&self.nodes[b.0].value, buf)?;
+                let buf = self.take_buf();
+                let db = self.nodes[a.0].value.matmul_tn_with(out_grad, buf)?;
+                self.accumulate(a, da)?;
+                self.accumulate(b, db)?;
+            }
+            Op::Add(a, b) => {
+                let g = self.pooled_clone(out_grad);
+                self.accumulate(a, g)?;
+                let g = self.pooled_clone(out_grad);
+                self.accumulate(b, g)?;
+            }
+            Op::AddRowBroadcast(a, bias) => {
+                // Bias gradient is the column-sum of the output grad.
+                let buf = self.take_buf();
+                let bias_grad = ops::col_sums_with(out_grad, buf);
+                let g = self.pooled_clone(out_grad);
+                self.accumulate(a, g)?;
+                self.accumulate(bias, bias_grad)?;
+            }
+            Op::Sub(a, b) => {
+                let g = self.pooled_clone(out_grad);
+                self.accumulate(a, g)?;
+                let buf = self.take_buf();
+                let g = out_grad.scale_with(-1.0, buf);
+                self.accumulate(b, g)?;
+            }
+            Op::Mul(a, b) => {
+                let buf = self.take_buf();
+                let da = out_grad.hadamard_with(&self.nodes[b.0].value, buf)?;
+                let buf = self.take_buf();
+                let db = out_grad.hadamard_with(&self.nodes[a.0].value, buf)?;
+                self.accumulate(a, da)?;
+                self.accumulate(b, db)?;
+            }
+            Op::Scale(a, alpha) => {
+                let buf = self.take_buf();
+                let g = out_grad.scale_with(alpha, buf);
+                self.accumulate(a, g)?;
+            }
+            Op::AddScalar(a) => {
+                let g = self.pooled_clone(out_grad);
+                self.accumulate(a, g)?;
+            }
+            // dσ = σ (1 - σ) and dtanh = 1 - tanh², from this node's
+            // forward value; ReLU's 0/1 mask from its input.
+            Op::Sigmoid(a) => self.local_grad(a, i, out_grad, ops::sigmoid_grad)?,
+            Op::Tanh(a) => self.local_grad(a, i, out_grad, ops::tanh_grad)?,
+            Op::Relu(a) => self.local_grad(a, a.0, out_grad, ops::relu_mask)?,
+            Op::Square(a) => self.local_grad(a, a.0, out_grad, |x| 2.0 * x)?,
+            Op::ConcatCols(ref parts) => {
+                let mut offset = 0;
+                for &p in parts {
+                    let w = self.nodes[p.0].value.cols();
+                    let buf = self.take_buf();
+                    let block = ops::cols_with(out_grad, offset, w, buf);
+                    self.accumulate(p, block)?;
+                    offset += w;
+                }
+            }
+            Op::GatherRows { table, ref indices } => {
+                let tv = self.nodes[table.0].value.shape();
+                let buf = self.take_buf();
+                let mut tg = Matrix::zeros_with(tv.0, tv.1, buf);
+                for (out_row, &idx) in indices.iter().enumerate() {
+                    for (g, &og) in tg.row_mut(idx).iter_mut().zip(out_grad.row(out_row)) {
+                        *g += og;
+                    }
+                }
+                self.accumulate(table, tg)?;
+            }
+            Op::RowSums(a) => {
+                let shape = self.nodes[a.0].value.shape();
+                let buf = self.take_buf();
+                let da = Matrix::from_fn_with(shape.0, shape.1, buf, |r, _| out_grad.get(r, 0));
+                self.accumulate(a, da)?;
+            }
+            Op::MeanAll(a) => {
+                let shape = self.nodes[a.0].value.shape();
+                let g = out_grad.get(0, 0) / (shape.0 * shape.1) as f64;
+                let buf = self.take_buf();
+                let da = Matrix::from_fn_with(shape.0, shape.1, buf, |_, _| g);
+                self.accumulate(a, da)?;
+            }
+            Op::DropoutMask { input, ref mask } => {
+                let buf = self.take_buf();
+                let g = out_grad.hadamard_with(mask, buf)?;
+                self.accumulate(input, g)?;
+            }
+            Op::SliceCols { input, start, len } => {
+                let shape = self.nodes[input.0].value.shape();
+                let buf = self.take_buf();
+                let mut da = Matrix::zeros_with(shape.0, shape.1, buf);
+                for r in 0..out_grad.rows() {
+                    da.row_mut(r)[start..start + len].copy_from_slice(out_grad.row(r));
+                }
+                self.accumulate(input, da)?;
+            }
+            Op::RowSoftmax(a) => {
+                // dX_i = p_i ⊙ (dY_i − (dY_i · p_i) 1), per row.
+                let buf = self.take_buf();
+                let p = &self.nodes[i].value;
+                let mut da = Matrix::zeros_with(p.rows(), p.cols(), buf);
+                for r in 0..p.rows() {
+                    let dot: f64 = out_grad
+                        .row(r)
+                        .iter()
+                        .zip(p.row(r))
+                        .map(|(g, q)| g * q)
+                        .sum();
+                    for ((d, &g), &q) in da.row_mut(r).iter_mut().zip(out_grad.row(r)).zip(p.row(r))
+                    {
+                        *d = q * (g - dot);
+                    }
+                }
+                self.accumulate(a, da)?;
+            }
+            Op::GruSeq(ref seq) => {
+                let weights = seq.params.map(|id| &self.nodes[id.0].value);
+                let terms = gru::backward(
+                    &weights,
+                    &seq.params,
+                    &seq.xs,
+                    &seq.trace,
+                    seq.candidate,
+                    out_grad,
+                    &mut self.arena,
+                )?;
+                for (id, g) in terms {
+                    self.accumulate(id, g)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Accumulates `out_grad ⊙ local(x)` into `input`, where `x` runs
+    /// over node `from`'s value (the op's output or its input).
+    fn local_grad(
+        &mut self,
+        input: NodeId,
+        from: usize,
+        out_grad: &Matrix,
+        local: impl Fn(f64) -> f64,
+    ) -> Result<()> {
+        let buf = self.take_buf();
+        let local = self.nodes[from].value.map_with(buf, local);
+        let buf = self.take_buf();
+        let g = out_grad.hadamard_with(&local, buf)?;
+        self.give_buf(local.into_vec());
+        self.accumulate(input, g)
     }
 
     /// Copy of `m` backed by an arena buffer.
@@ -1154,6 +1148,7 @@ mod tests {
         // The profiler table is process-global and other tests may run
         // concurrently, so assert only on presence and lower bounds of
         // the cells this graph creates — never on absence or totals.
+        let _profiler = profile::test_lock();
         profile::enable();
         let mut g = Graph::new();
         let x = g.leaf(leaf_2x3());
@@ -1185,8 +1180,9 @@ mod tests {
         assert!(bwd.calls >= 1);
         assert!(bwd.flops >= 48);
 
-        // The renderers accept the live snapshot.
-        let table = profile::hot_op_table(&stats, 5);
+        // The renderers accept the live snapshot. Every row is rendered:
+        // ops of tests running beside this one may outrank its MatMul.
+        let table = profile::hot_op_table(&stats, stats.len());
         assert!(table.contains("MatMul"));
         let collapsed = profile::collapsed_stacks(&stats);
         for line in collapsed.lines() {
@@ -1205,6 +1201,7 @@ mod tests {
             let loss = g.mean_all(sq).unwrap();
             (x, loss)
         };
+        let _profiler = profile::test_lock();
         profile::disable();
         let mut g_off = Graph::new();
         let (x_off, loss_off) = build(&mut g_off);
@@ -1218,6 +1215,78 @@ mod tests {
 
         assert_eq!(g_off.value(loss_off), g_on.value(loss_on));
         assert_eq!(g_off.grad(x_off), g_on.grad(x_on));
+    }
+
+    /// A 2-step, 3-wide GRU over a batch of 2 with every parameter bound
+    /// into `g`; returns the sequence node and the parameter nodes.
+    fn gru_seq_fixture(g: &mut Graph) -> (NodeId, GruParams<NodeId>) {
+        let mut k = 0.0;
+        let mut next = |rows, cols| {
+            Matrix::from_fn(rows, cols, |_, _| {
+                k += 0.37;
+                (k * 1.7f64).sin() * 0.5
+            })
+        };
+        let mut leaf = |g: &mut Graph, rows, cols| g.leaf(next(rows, cols));
+        let params = GruParams {
+            w: [(); 3].map(|_| leaf(g, 1, 3)),
+            u: [(); 3].map(|_| leaf(g, 3, 3)),
+            b: [(); 3].map(|_| leaf(g, 1, 3)),
+        };
+        let xs = vec![
+            Matrix::col_vector(&[0.3, -0.8]),
+            Matrix::col_vector(&[1.1, 0.0]),
+        ];
+        (g.gru_seq(params, xs, Activation::Relu).unwrap(), params)
+    }
+
+    #[test]
+    fn gru_seq_is_one_op_each_way_and_attributed() {
+        let _profiler = profile::test_lock();
+        profile::enable();
+        let mut g = Graph::new();
+        let (seq, params) = gru_seq_fixture(&mut g);
+        let before = g.len();
+        let loss = g.mean_all(seq).unwrap();
+        g.backward(loss).unwrap();
+        profile::disable();
+
+        assert_eq!(g.value(seq).shape(), (2, 6));
+        assert_eq!(g.len(), before + 1, "the sequence is a single node");
+        for p in params.w.iter().chain(&params.u).chain(&params.b) {
+            assert!(
+                g.grad(*p).is_some(),
+                "parameter node {} got no gradient",
+                p.0
+            );
+        }
+        let stats = profile::snapshot();
+        for phase in [profile::Phase::Forward, profile::Phase::Backward] {
+            let cell = stats
+                .iter()
+                .find(|s| s.phase == phase && s.op == "GruSeq" && s.site == seq.index())
+                .unwrap_or_else(|| panic!("no {phase:?} GruSeq cell"));
+            assert!(cell.calls >= 1 && cell.flops > 0 && cell.allocs > 0);
+        }
+    }
+
+    #[test]
+    fn reset_recycles_the_gru_cache_into_the_arena() {
+        let mut g = Graph::new();
+        let (seq, _) = gru_seq_fixture(&mut g);
+        let loss = g.mean_all(seq).unwrap();
+        g.backward(loss).unwrap();
+        let tape_buffers: usize = g
+            .nodes
+            .iter()
+            .map(|n| 1 + usize::from(n.grad.is_some()))
+            .sum();
+        // Per step z, r, r ⊙ h, pre-activation and candidate, plus the
+        // three states h_0..h_2.
+        let cache_buffers = 5 * 2 + 3;
+        let pooled = g.arena.len();
+        g.reset();
+        assert_eq!(g.arena.len(), pooled + tape_buffers + cache_buffers);
     }
 
     #[test]

@@ -3,16 +3,21 @@
 //! The paper's model (§3.1, Appendix A) combines three kinds of layers:
 //! a one-hidden-layer sigmoid FNN over the contextual features, a GRU over
 //! the resource-usage history, and per-EM-feature embedding lookup tables.
-//! Each layer here registers its weights in a [`ParamSet`] at construction
-//! and emits graph ops at forward time, so the same layer object serves
-//! both training (fresh graph per step) and inference.
+//! Each layer here registers its weights in a [`ParamSet`] at construction.
+//! It has two forwards: one emits graph ops for training, the other
+//! (`infer`) reads the weights straight from the [`ParamSet`] and builds
+//! no tape. Both evaluate the same formulas with the same kernels, so
+//! they produce the same bits.
 
 use env2vec_linalg::{Error, Matrix, Result};
 use rand::Rng;
 
 use crate::graph::{Graph, NodeId};
+use crate::gru::{self, GruParams};
 use crate::init;
+use crate::ops;
 use crate::params::{Bound, ParamId, ParamSet};
+use crate::profile;
 
 /// Element-wise activation applied after a dense transform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,6 +100,16 @@ impl Dense {
         let z = graph.add_row_broadcast(wx, bound.node(self.b))?;
         Ok(activate(graph, z, self.activation))
     }
+
+    /// Tape-free forward of a batch `x` (`B x in_dim`).
+    ///
+    /// Returns an error on shape mismatch.
+    pub fn infer(&self, params: &ParamSet, x: &Matrix) -> Result<Matrix> {
+        let mut y = ops::matmul(x, params.value(self.w))?;
+        ops::add_row_broadcast(&mut y, params.value(self.b))?;
+        ops::activate(&mut y, self.activation);
+        Ok(y)
+    }
 }
 
 /// Gated recurrent unit (Cho et al. 2014) as formalised in the paper's
@@ -108,15 +123,7 @@ impl Dense {
 /// state `h_t = (1 - z_t) ⊙ h'_t + z_t ⊙ h_{t-1}`.
 #[derive(Debug, Clone)]
 pub struct GruCell {
-    w_z: ParamId,
-    u_z: ParamId,
-    b_z: ParamId,
-    w_r: ParamId,
-    u_r: ParamId,
-    b_r: ParamId,
-    w_h: ParamId,
-    u_h: ParamId,
-    b_h: ParamId,
+    params: GruParams<ParamId>,
     in_dim: usize,
     hidden: usize,
     candidate: Activation,
@@ -135,38 +142,28 @@ impl GruCell {
         hidden: usize,
         candidate: Activation,
     ) -> Result<Self> {
-        fn gate<R: Rng>(
-            params: &mut ParamSet,
-            rng: &mut R,
-            prefix: &str,
-            name: &str,
-            in_dim: usize,
-            hidden: usize,
-        ) -> Result<(ParamId, ParamId, ParamId)> {
-            let w = params.add(
-                format!("{prefix}.w_{name}"),
-                init::xavier_uniform(rng, in_dim, hidden),
-            )?;
-            let u = params.add(
-                format!("{prefix}.u_{name}"),
-                init::xavier_uniform(rng, hidden, hidden),
-            )?;
-            let b = params.add(format!("{prefix}.b_{name}"), Matrix::zeros(1, hidden))?;
-            Ok((w, u, b))
-        }
-        let (w_z, u_z, b_z) = gate(params, rng, prefix, "z", in_dim, hidden)?;
-        let (w_r, u_r, b_r) = gate(params, rng, prefix, "r", in_dim, hidden)?;
-        let (w_h, u_h, b_h) = gate(params, rng, prefix, "h", in_dim, hidden)?;
+        // Registration order (and so the model blob and the RNG draws):
+        // w, u, b of z, then of r, then of h.
+        let mut gate = |name: &str| -> Result<[ParamId; 3]> {
+            Ok([
+                params.add(
+                    format!("{prefix}.w_{name}"),
+                    init::xavier_uniform(rng, in_dim, hidden),
+                )?,
+                params.add(
+                    format!("{prefix}.u_{name}"),
+                    init::xavier_uniform(rng, hidden, hidden),
+                )?,
+                params.add(format!("{prefix}.b_{name}"), Matrix::zeros(1, hidden))?,
+            ])
+        };
+        let gates = [gate("z")?, gate("r")?, gate("h")?];
         Ok(GruCell {
-            w_z,
-            u_z,
-            b_z,
-            w_r,
-            u_r,
-            b_r,
-            w_h,
-            u_h,
-            b_h,
+            params: GruParams {
+                w: gates.map(|g| g[0]),
+                u: gates.map(|g| g[1]),
+                b: gates.map(|g| g[2]),
+            },
             in_dim,
             hidden,
             candidate,
@@ -183,79 +180,50 @@ impl GruCell {
         self.in_dim
     }
 
-    /// One recurrence step: `x` is `B x in_dim`, `h` is `B x hidden`.
-    ///
-    /// Returns the new hidden state node, or an error on shape mismatch.
-    pub fn step(&self, graph: &mut Graph, bound: &Bound, x: NodeId, h: NodeId) -> Result<NodeId> {
-        let gate = |graph: &mut Graph, w, u, b| -> Result<NodeId> {
-            let xw = graph.matmul(x, bound.node(w))?;
-            let hu = graph.matmul(h, bound.node(u))?;
-            let sum = graph.add(xw, hu)?;
-            graph.add_row_broadcast(sum, bound.node(b))
-        };
-        let z_pre = gate(graph, self.w_z, self.u_z, self.b_z)?;
-        let z = graph.sigmoid(z_pre);
-        let r_pre = gate(graph, self.w_r, self.u_r, self.b_r)?;
-        let r = graph.sigmoid(r_pre);
-
-        // Candidate: f(x W_h + (r ⊙ h) U_h + b_h).
-        let xw = graph.matmul(x, bound.node(self.w_h))?;
-        let rh = graph.mul(r, h)?;
-        let rhu = graph.matmul(rh, bound.node(self.u_h))?;
-        let pre = graph.add(xw, rhu)?;
-        let pre = graph.add_row_broadcast(pre, bound.node(self.b_h))?;
-        let cand = activate(graph, pre, self.candidate);
-
-        // h_t = (1 - z) ⊙ h' + z ⊙ h_{t-1}.
-        let one_minus_z = graph.one_minus(z);
-        let a = graph.mul(one_minus_z, cand)?;
-        let b = graph.mul(z, h)?;
-        graph.add(a, b)
-    }
-
-    /// Unrolls the cell over a sequence of `B x in_dim` nodes (oldest
-    /// first), starting from a zero hidden state, and returns the final
-    /// hidden state (`v_ts` in the paper's Figure 2).
+    /// Unrolls the cell over `xs` (oldest first, each `B x in_dim`) from
+    /// a zero hidden state as one fused [`Graph::gru_seq`] op, and
+    /// returns the final hidden state (`v_ts` in the paper's Figure 2).
     ///
     /// Returns an error for an empty sequence or shape mismatch.
     pub fn run_sequence(
         &self,
         graph: &mut Graph,
         bound: &Bound,
-        steps: &[NodeId],
-        batch: usize,
+        xs: Vec<Matrix>,
     ) -> Result<NodeId> {
-        Ok(*self
-            .run_sequence_all(graph, bound, steps, batch)?
-            .last()
-            // envlint: allow(no-panic) — run_sequence_all errors on an empty
-            // unroll, so the returned state list is never empty.
-            .expect("non-empty sequence yields states"))
+        let steps = xs.len();
+        let seq = graph.gru_seq(self.params.map(|p| bound.node(p)), xs, self.candidate)?;
+        graph.slice_cols(seq, (steps - 1) * self.hidden, self.hidden)
     }
 
-    /// Unrolls the cell and returns *every* hidden state, oldest first —
-    /// the input to attention pooling.
+    /// Unrolls the cell like [`GruCell::run_sequence`] and returns *every*
+    /// hidden state, oldest first — the input to attention pooling.
     ///
     /// Returns an error for an empty sequence or shape mismatch.
     pub fn run_sequence_all(
         &self,
         graph: &mut Graph,
         bound: &Bound,
-        steps: &[NodeId],
-        batch: usize,
+        xs: Vec<Matrix>,
     ) -> Result<Vec<NodeId>> {
-        if steps.is_empty() {
-            return Err(Error::Empty {
-                routine: "gru run_sequence",
-            });
-        }
-        let mut h = graph.leaf(Matrix::zeros(batch, self.hidden));
-        let mut states = Vec::with_capacity(steps.len());
-        for &x in steps {
-            h = self.step(graph, bound, x, h)?;
-            states.push(h);
-        }
-        Ok(states)
+        let steps = xs.len();
+        let seq = graph.gru_seq(self.params.map(|p| bound.node(p)), xs, self.candidate)?;
+        (0..steps)
+            .map(|t| graph.slice_cols(seq, t * self.hidden, self.hidden))
+            .collect()
+    }
+
+    /// Tape-free unroll over `xs`: every hidden state, oldest first,
+    /// from the same kernel the tape's [`Graph::gru_seq`] runs.
+    ///
+    /// Returns an error for an empty sequence or shape mismatch.
+    pub fn infer_sequence(&self, params: &ParamSet, xs: &[Matrix]) -> Result<Vec<Matrix>> {
+        let weights = self.params.map(|p| params.value(p));
+        let cost = || gru::cost(xs, self.hidden, false);
+        let trace = profile::stage("GruSeq", cost, || {
+            gru::forward(&weights, xs, self.candidate, false, &mut Vec::new())
+        })?;
+        Ok(trace.h.into_iter().skip(1).collect())
     }
 }
 
@@ -325,6 +293,41 @@ impl AttentionPool {
         // unroll, so the loop above executed at least once.
         Ok(pooled.expect("at least one state"))
     }
+
+    /// Tape-free [`AttentionPool::forward`], stage for stage.
+    ///
+    /// Returns an error for an empty sequence or width mismatch.
+    pub fn infer(&self, params: &ParamSet, states: &[Matrix]) -> Result<Matrix> {
+        if states.is_empty() {
+            return Err(Error::Empty {
+                routine: "attention forward",
+            });
+        }
+        let scores = states
+            .iter()
+            .map(|h| {
+                let mut s = ops::matmul(h, params.value(self.w))?;
+                ops::add_row_broadcast(&mut s, params.value(self.b))?;
+                Ok(s)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let mut alpha = ops::concat_cols(&scores)?;
+        ops::row_softmax(&mut alpha);
+        let ones = Matrix::filled(1, self.hidden, 1.0);
+        let mut pooled: Option<Matrix> = None;
+        for (t, h) in states.iter().enumerate() {
+            let a_col = ops::slice_cols(&alpha, t, 1)?;
+            let a_wide = ops::matmul(&a_col, &ones)?;
+            let weighted = ops::mul(&a_wide, h)?;
+            pooled = Some(match pooled {
+                None => weighted,
+                Some(acc) => ops::add(&acc, &weighted)?,
+            });
+        }
+        // envlint: allow(no-panic) — `states` is non-empty (checked
+        // above), so the loop executed at least once.
+        Ok(pooled.expect("at least one state"))
+    }
 }
 
 /// Embedding lookup table with a reserved `<unk>` row.
@@ -379,15 +382,26 @@ impl Embedding {
     /// Indices must already be encoded (0 for `<unk>`, `1..=vocab`
     /// otherwise); out-of-range indices are an error.
     pub fn lookup(&self, graph: &mut Graph, bound: &Bound, indices: &[usize]) -> Result<NodeId> {
-        for &i in indices {
-            if i > self.vocab {
-                return Err(Error::IndexOutOfBounds {
-                    index: i,
-                    len: self.vocab + 1,
-                });
-            }
-        }
+        self.check(indices)?;
         graph.gather_rows(bound.node(self.table), indices)
+    }
+
+    /// Tape-free [`Embedding::lookup`].
+    ///
+    /// Returns an error for an out-of-range index.
+    pub fn infer(&self, params: &ParamSet, indices: &[usize]) -> Result<Matrix> {
+        self.check(indices)?;
+        ops::gather_rows(params.value(self.table), indices)
+    }
+
+    fn check(&self, indices: &[usize]) -> Result<()> {
+        match indices.iter().find(|&&i| i > self.vocab) {
+            Some(&index) => Err(Error::IndexOutOfBounds {
+                index,
+                len: self.vocab + 1,
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Reads the current embedding vector for an encoded index, outside any
@@ -481,10 +495,10 @@ mod tests {
 
         let mut g = Graph::new();
         let bound = ps.bind(&mut g);
-        let steps: Vec<NodeId> = (0..3)
-            .map(|i| g.leaf(Matrix::filled(2, 1, i as f64 * 0.1)))
+        let steps: Vec<Matrix> = (0..3)
+            .map(|i| Matrix::filled(2, 1, i as f64 * 0.1))
             .collect();
-        let h = cell.run_sequence(&mut g, &bound, &steps, 2).unwrap();
+        let h = cell.run_sequence(&mut g, &bound, steps).unwrap();
         assert_eq!(g.value(h).shape(), (2, 5));
         assert!(g.value(h).is_finite());
     }
@@ -495,7 +509,9 @@ mod tests {
         let cell = GruCell::new(&mut ps, &mut rng(), "gru", 1, 3, Activation::Tanh).unwrap();
         let mut g = Graph::new();
         let bound = ps.bind(&mut g);
-        assert!(cell.run_sequence(&mut g, &bound, &[], 2).is_err());
+        assert!(cell.run_sequence(&mut g, &bound, vec![]).is_err());
+        assert!(cell.run_sequence_all(&mut g, &bound, vec![]).is_err());
+        assert!(cell.infer_sequence(&ps, &[]).is_err());
     }
 
     #[test]
@@ -505,11 +521,8 @@ mod tests {
         let run = |vals: &[f64]| -> Matrix {
             let mut g = Graph::new();
             let bound = ps.bind(&mut g);
-            let steps: Vec<NodeId> = vals
-                .iter()
-                .map(|&v| g.leaf(Matrix::filled(1, 1, v)))
-                .collect();
-            let h = cell.run_sequence(&mut g, &bound, &steps, 1).unwrap();
+            let steps: Vec<Matrix> = vals.iter().map(|&v| Matrix::filled(1, 1, v)).collect();
+            let h = cell.run_sequence(&mut g, &bound, steps).unwrap();
             g.value(h).clone()
         };
         // Mixed-sign inputs: with a ReLU candidate and uniform init, an
@@ -528,10 +541,10 @@ mod tests {
         let cell = GruCell::new(&mut ps, &mut rng(), "gru", 1, 3, Activation::Relu).unwrap();
         let mut g = Graph::new();
         let bound = ps.bind(&mut g);
-        let steps: Vec<NodeId> = (0..4)
-            .map(|i| g.leaf(Matrix::filled(2, 1, 0.3 + 0.1 * i as f64)))
+        let steps: Vec<Matrix> = (0..4)
+            .map(|i| Matrix::filled(2, 1, 0.3 + 0.1 * i as f64))
             .collect();
-        let h = cell.run_sequence(&mut g, &bound, &steps, 2).unwrap();
+        let h = cell.run_sequence(&mut g, &bound, steps).unwrap();
         let target = g.leaf(Matrix::filled(2, 3, 0.5));
         let loss = g.mse(h, target).unwrap();
         g.backward(loss).unwrap();
@@ -590,10 +603,10 @@ mod tests {
         let pool = AttentionPool::new(&mut ps, &mut rng(), "attn", 4).unwrap();
         let mut g = Graph::new();
         let bound = ps.bind(&mut g);
-        let steps: Vec<NodeId> = (0..5)
-            .map(|i| g.leaf(Matrix::filled(3, 1, 0.1 * i as f64)))
+        let steps: Vec<Matrix> = (0..5)
+            .map(|i| Matrix::filled(3, 1, 0.1 * i as f64))
             .collect();
-        let states = cell.run_sequence_all(&mut g, &bound, &steps, 3).unwrap();
+        let states = cell.run_sequence_all(&mut g, &bound, steps).unwrap();
         assert_eq!(states.len(), 5);
         let pooled = pool.forward(&mut g, &bound, &states).unwrap();
         assert_eq!(g.value(pooled).shape(), (3, 4));
@@ -627,10 +640,10 @@ mod tests {
         let pool = AttentionPool::new(&mut ps, &mut rng(), "attn", 3).unwrap();
         let mut g = Graph::new();
         let bound = ps.bind(&mut g);
-        let steps: Vec<NodeId> = (0..4)
-            .map(|i| g.leaf(Matrix::filled(2, 1, 0.2 + 0.3 * i as f64)))
+        let steps: Vec<Matrix> = (0..4)
+            .map(|i| Matrix::filled(2, 1, 0.2 + 0.3 * i as f64))
             .collect();
-        let states = cell.run_sequence_all(&mut g, &bound, &steps, 2).unwrap();
+        let states = cell.run_sequence_all(&mut g, &bound, steps).unwrap();
         let pooled = pool.forward(&mut g, &bound, &states).unwrap();
         let target = g.leaf(Matrix::filled(2, 3, 0.4));
         let loss = g.mse(pooled, target).unwrap();

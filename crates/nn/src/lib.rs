@@ -15,7 +15,14 @@
 //!   step and updated from accumulated gradients.
 //! - [`layers`]: `Dense`, `GruCell` (Cho et al. 2014, with the ReLU
 //!   candidate activation the paper adopts in Appendix A), `Embedding`
-//!   lookup tables with an `<unk>` row, and inverted dropout.
+//!   lookup tables with an `<unk>` row, and inverted dropout. Each layer
+//!   has a tape forward for training and a tape-free `infer` forward that
+//!   reads the [`ParamSet`] directly and yields the same bits.
+//! - [`gru`]: the fused GRU sequence kernel, one tape op
+//!   ([`Graph::gru_seq`]) over every timestep, bit-identical to the
+//!   op-by-op composition.
+//! - [`ops`]: the element-wise formulas the tape and the tape-free path
+//!   share, and the tape-free counterparts of tape ops.
 //! - [`init`]: Xavier/Glorot and He initialisers with seeded RNG.
 //! - [`optim`]: SGD and Adam (Kingma & Ba 2014) — the paper trains with
 //!   Adam on an MSE loss.
@@ -30,9 +37,11 @@
 #![warn(missing_docs)]
 
 pub mod graph;
+pub mod gru;
 pub mod init;
 pub mod layers;
 pub mod loss;
+pub mod ops;
 pub mod optim;
 pub mod params;
 pub mod profile;

@@ -7,6 +7,10 @@
 //! the tape. Define-by-run training rebuilds the same tape every step,
 //! so a site aggregates the same logical op across all steps and epochs.
 //!
+//! The tape-free inference path ([`crate::ops`] and the layers'
+//! `infer` forwards) records its stages under the same op names, at the
+//! one site [`INFERENCE_SITE`], since it has no tape.
+//!
 //! The profiler is strictly *observational*: it never touches values,
 //! gradients, or RNG streams, so profiled and unprofiled runs produce
 //! bit-identical models. When disabled (the default) the per-op cost is
@@ -85,6 +89,19 @@ struct Accum {
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
+
+/// The site tape-free inference stages are recorded at: they have no
+/// tape index. [`collapsed_stacks`] names it `inference`.
+pub const INFERENCE_SITE: usize = usize::MAX;
+
+/// Serialises the tests that switch the process-global profiler on or
+/// off, so one test cannot turn it off while another measures.
+#[cfg(test)]
+pub(crate) fn test_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A test that failed while holding the lock leaves nothing to repair.
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn table() -> MutexGuard<'static, BTreeMap<SiteKey, Accum>> {
     static TABLE: std::sync::OnceLock<Mutex<BTreeMap<SiteKey, Accum>>> = std::sync::OnceLock::new();
@@ -172,6 +189,23 @@ impl OpTimer {
         a.allocs += cost.allocs;
         a.out_elems += cost.out_elems;
     }
+}
+
+/// Runs one tape-free stage and, when the profiler is on, records it as
+/// a forward op named `op` at [`INFERENCE_SITE`]. `cost` is only called
+/// when the profiler is on.
+pub(crate) fn stage<T>(
+    op: &'static str,
+    cost: impl FnOnce() -> OpCost,
+    run: impl FnOnce() -> T,
+) -> T {
+    let timer = OpTimer::start();
+    let out = run();
+    if timer.armed() {
+        let cost = cost();
+        timer.finish(Phase::Forward, op, INFERENCE_SITE, cost);
+    }
+    out
 }
 
 /// Static cost estimate attached to one op execution.
@@ -276,7 +310,8 @@ pub fn hot_op_table(stats: &[OpStat], limit: usize) -> String {
 }
 
 /// Renders the snapshot as a flamegraph-ready collapsed-stack file: one
-/// `env2vec;<phase>;<op>;site_<idx> <microseconds>` line per cell.
+/// `env2vec;<phase>;<op>;site_<idx> <microseconds>` line per cell
+/// (`inference` in place of `site_<idx>` for tape-free stages).
 /// Feed it to `inferno-flamegraph` or `flamegraph.pl` directly.
 pub fn collapsed_stacks(stats: &[OpStat]) -> String {
     let mut out = String::new();
@@ -285,12 +320,15 @@ pub fn collapsed_stacks(stats: &[OpStat]) -> String {
         if us == 0 {
             continue;
         }
+        let site = if s.site == INFERENCE_SITE {
+            "inference".to_string()
+        } else {
+            format!("site_{}", s.site)
+        };
         out.push_str(&format!(
-            "env2vec;{};{};site_{} {}\n",
+            "env2vec;{};{};{site} {us}\n",
             s.phase.name(),
-            s.op,
-            s.site,
-            us
+            s.op
         ));
     }
     out
@@ -359,9 +397,13 @@ mod tests {
         let stats = vec![
             stat("MatMul", Phase::Forward, 5, 3_000_000, 0),
             stat("Relu", Phase::Backward, 9, 500, 0), // < 1 us: dropped
+            stat("GruSeq", Phase::Forward, INFERENCE_SITE, 2_000, 0),
         ];
         let c = collapsed_stacks(&stats);
-        assert_eq!(c, "env2vec;forward;MatMul;site_5 3000\n");
+        assert_eq!(
+            c,
+            "env2vec;forward;MatMul;site_5 3000\nenv2vec;forward;GruSeq;inference 2\n"
+        );
         for line in c.lines() {
             let (stack, count) = line.rsplit_once(' ').expect("weight separator");
             assert!(stack.starts_with("env2vec;"));
@@ -371,6 +413,7 @@ mod tests {
 
     #[test]
     fn disabled_timer_is_inert() {
+        let _profiler = test_lock();
         disable();
         let t = OpTimer::start();
         assert!(!t.armed());

@@ -83,15 +83,13 @@ fn gru_learns_order_dependent_target() {
     let forward = |ps: &ParamSet, idx: &[usize]| -> (Graph, env2vec_nn::NodeId) {
         let mut g = Graph::new();
         let bound = ps.bind(&mut g);
-        let steps: Vec<env2vec_nn::NodeId> = (0..window)
+        let steps: Vec<Matrix> = (0..window)
             .map(|t| {
                 let col: Vec<f64> = idx.iter().map(|&i| seqs[i][t]).collect();
-                g.leaf(Matrix::col_vector(&col))
+                Matrix::col_vector(&col)
             })
             .collect();
-        let h = cell
-            .run_sequence(&mut g, &bound, &steps, idx.len())
-            .unwrap();
+        let h = cell.run_sequence(&mut g, &bound, steps).unwrap();
         let o = head.forward(&mut g, &bound, h).unwrap();
         (g, o)
     };
@@ -108,15 +106,13 @@ fn gru_learns_order_dependent_target() {
             let by: Vec<f64> = batch.iter().map(|&i| ys[i]).collect();
             let mut g = Graph::new();
             let bound = ps.bind(&mut g);
-            let steps: Vec<env2vec_nn::NodeId> = (0..window)
+            let steps: Vec<Matrix> = (0..window)
                 .map(|t| {
                     let col: Vec<f64> = batch.iter().map(|&i| seqs[i][t]).collect();
-                    g.leaf(Matrix::col_vector(&col))
+                    Matrix::col_vector(&col)
                 })
                 .collect();
-            let h = cell
-                .run_sequence(&mut g, &bound, &steps, batch.len())
-                .unwrap();
+            let h = cell.run_sequence(&mut g, &bound, steps).unwrap();
             let o = head.forward(&mut g, &bound, h).unwrap();
             let t = g.leaf(Matrix::col_vector(&by));
             let loss = g.mse(o, t).unwrap();

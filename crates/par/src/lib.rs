@@ -620,6 +620,15 @@ mod tests {
         }
     }
 
+    /// Serialises the tests that spawn detached jobs: each compares the
+    /// process-global live-detached count with a baseline taken before
+    /// its own jobs, which another test's job alive in between skews.
+    fn detached_test_lock() -> impl Sized {
+        static LOCK: OnceLock<TrackedMutex<()>> = OnceLock::new();
+        LOCK.get_or_init(|| TrackedMutex::new("par.test.detached", ()))
+            .lock()
+    }
+
     /// Polls `cond` for up to ~2s; detached-job completion is
     /// asynchronous by design, so tests wait for the accounting to
     /// settle instead of assuming it is instant.
@@ -635,6 +644,7 @@ mod tests {
 
     #[test]
     fn detached_job_runs_and_accounting_settles() {
+        let _detached = detached_test_lock();
         let (tx, rx) = std::sync::mpsc::channel();
         spawn_detached("par-test/detached-once", move || {
             tx.send(42u32).unwrap();
@@ -656,6 +666,7 @@ mod tests {
         // `Completion::drop` until the "connection" closed; with tags it
         // may only run its own jobs, so every scope below must finish
         // while the blocker is still alive.
+        let _detached = detached_test_lock();
         let release = Arc::new((TrackedMutex::new("par.test.release", false), Condvar::new()));
         let baseline = detached_jobs();
         for _ in 0..3 {
@@ -692,6 +703,7 @@ mod tests {
 
     #[test]
     fn panicking_detached_job_leaves_pool_serviceable() {
+        let _detached = detached_test_lock();
         let baseline = detached_jobs();
         spawn_detached("par-test/detached-boom", || panic!("detached boom"))
             .expect("spawn_detached");
@@ -718,6 +730,7 @@ mod tests {
         // thousands of short scopes, interleaved with requests to the
         // live job. Completion of this test at all is the assertion —
         // the pre-tag pool could wedge a scope behind the server job.
+        let _detached = detached_test_lock();
         let (req_tx, req_rx) = std::sync::mpsc::channel::<(u64, std::sync::mpsc::Sender<u64>)>();
         spawn_detached("par-test/soak-server", move || {
             while let Ok((value, reply)) = req_rx.recv() {
