@@ -16,7 +16,9 @@
 //!    bit-for-bit (`f64::to_bits`), proving compression and sharding
 //!    change nothing observable.
 //! 5. **Queries** — label-matcher range and instant queries; latency
-//!    quantiles come from the engine's own histograms.
+//!    quantiles come from the engine's own histograms, and the engine's
+//!    `series_examined` count shows whether the label index served the
+//!    range queries (examined == matched) or something scanned.
 //! 6. **Cardinality churn** — tens of thousands of one-sample series
 //!    created back to back, the service-discovery worst case.
 //!
@@ -44,6 +46,13 @@ pub struct TsdbOpsSummary {
     pub baseline_seconds: f64,
     /// Range queries issued in the query phase.
     pub range_queries: usize,
+    /// Series the engine tested per range query (its `series_examined`
+    /// count over the range phase, divided by the queries).
+    pub series_examined_per_range_query: f64,
+    /// Series the range queries returned, per query. Every query window
+    /// holds samples of every matched series, so this is the matched
+    /// count the examined count must equal.
+    pub series_matched_per_range_query: f64,
     /// p50 of the engine's range-query latency histogram (seconds).
     pub range_p50_seconds: f64,
     /// p99 of the engine's range-query latency histogram (seconds).
@@ -91,7 +100,9 @@ impl TsdbOpsSummary {
              \"baseline_msamples_per_sec\": {:.3},\n    \"range_p99_seconds\": {:.6},\n    \
              \"instant_p99_seconds\": {:.6},\n    \"churn_series_per_sec\": {:.0},\n    \
              \"compression_ratio\": {:.2},\n    \"sealed_chunks\": {},\n    \
-             \"out_of_order_inserts\": {}\n  }}",
+             \"out_of_order_inserts\": {},\n    \
+             \"series_examined_per_range_query\": {:.3},\n    \
+             \"series_matched_per_range_query\": {:.3}\n  }}",
             self.ingest_samples,
             self.ingest_msamples_per_sec(),
             self.baseline_msamples_per_sec(),
@@ -101,6 +112,8 @@ impl TsdbOpsSummary {
             self.compression_ratio,
             self.sealed_chunks,
             self.out_of_order_inserts,
+            self.series_examined_per_range_query,
+            self.series_matched_per_range_query,
         )
     }
 }
@@ -316,17 +329,21 @@ pub fn run_with_summary(
     // Phase 5: queries. Latencies come from the engine's own histograms,
     // so what the report and Prometheus show is what we gate on.
     let span = shape.ticks * TICK_STRIDE;
+    let examined_before = db.stats().series_examined;
+    let mut matched = 0;
     for q in 0..shape.range_queries {
         let s = (q * 13) % shape.series;
         let m = [LabelMatcher::eq("env", format!("EM_{s:04}"))];
         let lo = (q as i64 * 7) % (span / 2);
-        db.query_range("cpu_usage", &m, lo, lo + span / 2);
+        matched += db.query_range("cpu_usage", &m, lo, lo + span / 2).len();
     }
     // A heavier matcher: everything on one testbed (~series/97 series).
     for q in 0..shape.range_queries / 4 {
         let m = [LabelMatcher::eq("testbed", format!("Testbed_{}", q % 97))];
-        db.query_range("cpu_usage", &m, 0, span);
+        matched += db.query_range("cpu_usage", &m, 0, span).len();
     }
+    let range_queries = shape.range_queries + shape.range_queries / 4;
+    let examined = db.stats().series_examined - examined_before;
     for q in 0..shape.instant_queries {
         db.query_instant(
             "cpu_usage",
@@ -357,7 +374,9 @@ pub fn run_with_summary(
         ingest_samples: written,
         ingest_seconds,
         baseline_seconds,
-        range_queries: shape.range_queries + shape.range_queries / 4,
+        range_queries,
+        series_examined_per_range_query: examined as f64 / range_queries as f64,
+        series_matched_per_range_query: matched as f64 / range_queries as f64,
         range_p50_seconds: p(&stats.range_latency.cumulative, 0.50),
         range_p99_seconds: p(&stats.range_latency.cumulative, 0.99),
         instant_p99_seconds: p(&stats.instant_latency.cumulative, 0.99),
@@ -407,6 +426,10 @@ pub fn run_with_summary(
         summary.range_p50_seconds, summary.range_p99_seconds, summary.instant_p99_seconds,
     ));
     text.push_str(&format!(
+        "  series examined per range query: {:.3}  (matched {:.3})\n",
+        summary.series_examined_per_range_query, summary.series_matched_per_range_query,
+    ));
+    text.push_str(&format!(
         "  sealed chunks: {}  compressed {} B  raw {} B  ratio {:.2}x\n",
         summary.sealed_chunks,
         summary.sealed_bytes,
@@ -426,6 +449,7 @@ pub fn run_with_summary(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use env2vec_introspect::bench::BenchRecord;
 
     #[test]
     fn fast_workload_runs_and_reports() {
@@ -440,8 +464,27 @@ mod tests {
         );
         assert!(summary.out_of_order_inserts > 0);
         assert!(summary.sealed_chunks > 0);
+        assert_eq!(
+            summary.series_examined_per_range_query, summary.series_matched_per_range_query,
+            "range queries must examine only the series they match"
+        );
         let json = summary.json_object();
         assert!(json.contains("\"compression_ratio\""));
         assert!(json.contains("\"ingest_msamples_per_sec\""));
+        assert!(json.contains("\"series_examined_per_range_query\""));
+
+        // The bench gate reads committed records from before the examined
+        // count and records with it alike.
+        let old = include_str!("../../../BENCH_2026-08-07_tsdb_t1.json");
+        assert!(!old.contains("series_examined_per_range_query"));
+        let (head, rest) = old
+            .split_once("\"tsdb\": ")
+            .expect("record has a tsdb object");
+        let (_, tail) = rest.split_once("\n  },").expect("tsdb object closes");
+        let new = format!("{head}\"tsdb\": {json},{tail}");
+        let old = BenchRecord::parse("old", old).expect("old record parses");
+        let new = BenchRecord::parse("new", &new).expect("new record parses");
+        assert_eq!(old.experiments, vec![("tsdb".to_string(), 0.272)]);
+        assert_eq!(new.experiments, old.experiments);
     }
 }

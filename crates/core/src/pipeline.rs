@@ -19,9 +19,12 @@
 //!
 //! (Step 2, training, lives in [`crate::train`].)
 
+use std::sync::{Arc, OnceLock};
+
 use env2vec_datagen::telecom::workload::CF_NAMES;
 use env2vec_datagen::telecom::{BuildChain, Execution};
 use env2vec_linalg::{Error, Matrix, Result};
+use env2vec_obs::Counter;
 use env2vec_telemetry::alarms::{AlarmStore, NewAlarm};
 use env2vec_telemetry::discovery::{ScrapeTarget, ServiceDiscovery};
 use env2vec_telemetry::labels::{LabelMatcher, LabelSet};
@@ -33,6 +36,31 @@ use crate::dataframe::Dataframe;
 use crate::model::Env2VecModel;
 use crate::serialize::{load_model, save_model};
 use crate::vocab::EmVocabulary;
+
+/// TSDB metric name of each CF column, in [`CF_NAMES`] order: the one
+/// table both [`collect_execution`] and [`read_dataframe`] use.
+pub const CF_METRICS: [&str; CF_NAMES.len()] = [
+    "cf_client_ue",
+    "cf_burst_period",
+    "cf_demand_mbps",
+    "cf_session_rate",
+    "cf_active_sessions",
+    "cf_handover_rate",
+    "cf_success_ratio",
+    "cf_response_code_50x",
+    "cf_packet_tx",
+    "cf_packet_rx",
+    "cf_latency_ms",
+    "cf_retransmissions",
+    "cf_cpu_steal",
+    "cf_io_wait",
+];
+
+/// A global-registry counter, registered on first use and then reached
+/// without a registry lookup.
+fn counter(handle: &'static OnceLock<Arc<Counter>>, name: &str) -> &'static Counter {
+    handle.get_or_init(|| env2vec_obs::metrics().counter(name))
+}
 
 /// The EM record id linking an execution's metrics to its metadata.
 pub fn em_record_id(ex: &Execution) -> String {
@@ -55,27 +83,26 @@ pub fn execution_labels(ex: &Execution) -> LabelSet {
 /// Step 1: registers the execution in service discovery and streams its
 /// metrics into the TSDB.
 ///
-/// CF columns are stored as `cf_<name>` series and the CPU as
+/// CF columns are stored as the [`CF_METRICS`] series and the CPU as
 /// `cpu_usage`, all labelled with the EM record id.
 pub fn collect_execution(tsdb: &TimeSeriesDb, discovery: &mut ServiceDiscovery, ex: &Execution) {
+    static COLLECTIONS: OnceLock<Arc<Counter>> = OnceLock::new();
     let _span = env2vec_obs::span!("pipeline/collect_execution", chain = ex.chain_id);
-    env2vec_obs::metrics()
-        .counter("pipeline_collections_total")
-        .inc();
+    counter(&COLLECTIONS, "pipeline_collections_total").inc();
     let env_id = em_record_id(ex);
     discovery.register(ScrapeTarget::for_env(
         format!("collector-{}:9100", ex.chain_id),
         env_id,
     ));
     let labels = execution_labels(ex);
-    for (col, name) in CF_NAMES.iter().enumerate() {
+    for (col, metric) in CF_METRICS.iter().enumerate() {
         let samples: Vec<Sample> = (0..ex.len())
             .map(|t| Sample {
                 timestamp: t as i64,
                 value: ex.cf.get(t, col),
             })
             .collect();
-        tsdb.append_series(&format!("cf_{name}"), &labels, &samples);
+        tsdb.append_series(metric, &labels, &samples);
     }
     let cpu: Vec<Sample> = ex
         .cpu
@@ -110,11 +137,10 @@ pub fn read_dataframe(
     window: usize,
     vocab: &EmVocabulary,
 ) -> Result<Dataframe> {
+    static READS: OnceLock<Arc<Counter>> = OnceLock::new();
     let env_id = em_record_id(ex);
     let _span = env2vec_obs::span!("pipeline/read_dataframe", env = env_id);
-    env2vec_obs::metrics()
-        .counter("pipeline_dataframe_reads_total")
-        .inc();
+    counter(&READS, "pipeline_dataframe_reads_total").inc();
     let matchers = [LabelMatcher::eq("env", env_id)];
     let cpu_series = tsdb.query_range("cpu_usage", &matchers, 0, i64::MAX);
     let cpu_series = cpu_series.first().ok_or(Error::Empty {
@@ -122,9 +148,9 @@ pub fn read_dataframe(
     })?;
     let cpu: Vec<f64> = cpu_series.samples.iter().map(|s| s.value).collect();
 
-    let mut columns: Vec<Vec<f64>> = Vec::with_capacity(CF_NAMES.len());
-    for name in CF_NAMES {
-        let series = tsdb.query_range(&format!("cf_{name}"), &matchers, 0, i64::MAX);
+    let mut cf = Matrix::zeros(cpu.len(), CF_METRICS.len());
+    for (col, metric) in CF_METRICS.iter().enumerate() {
+        let series = tsdb.query_range(metric, &matchers, 0, i64::MAX);
         let series = series.first().ok_or(Error::Empty {
             routine: "read_dataframe: missing cf series",
         })?;
@@ -135,9 +161,10 @@ pub fn read_dataframe(
                 rhs: (cpu.len(), 1),
             });
         }
-        columns.push(series.samples.iter().map(|s| s.value).collect());
+        for (t, s) in series.samples.iter().enumerate() {
+            cf.set(t, col, s.value);
+        }
     }
-    let cf = Matrix::from_fn(cpu.len(), CF_NAMES.len(), |t, j| columns[j][t]);
     Dataframe::from_series_frozen(&cf, &cpu, &ex.labels.values(), window, vocab)
 }
 
@@ -202,9 +229,8 @@ pub fn screen_new_build_resource(
         testbed = chain.testbed,
         resource = resource.metric(),
     );
-    env2vec_obs::metrics()
-        .counter("pipeline_screens_total")
-        .inc();
+    static SCREENS: OnceLock<Arc<Counter>> = OnceLock::new();
+    counter(&SCREENS, "pipeline_screens_total").inc();
     let window = model.config.history_window;
     let vocab = model.vocab();
 
@@ -363,6 +389,13 @@ mod tests {
         assert_eq!(via_tsdb.target, direct.target);
         assert_eq!(via_tsdb.cf, direct.cf);
         assert_eq!(via_tsdb.em, direct.em);
+    }
+
+    #[test]
+    fn cf_metric_table_follows_cf_names() {
+        for (metric, name) in CF_METRICS.iter().zip(CF_NAMES) {
+            assert_eq!(*metric, format!("cf_{name}"));
+        }
     }
 
     #[test]

@@ -14,11 +14,17 @@ use crate::metrics::{LabelSet, MetricSample, MetricValue, MetricsRegistry};
 
 /// Publishes the snapshot's counters, sizes, compression accounting, and
 /// per-shard occupancy as gauges in `registry` (names prefixed
-/// `tsdb_`). Call before each scrape so the TSDB's own health rides the
-/// same pipeline as every other metric.
+/// `tsdb_`), plus the series the label index made queries examine as
+/// the counter `tsdb_query_series_examined_total`. Call before each
+/// scrape so the TSDB's own health rides the same pipeline as every
+/// other metric.
 pub fn publish_stats(registry: &MetricsRegistry, stats: &TsdbStats) {
     registry.gauge("tsdb_inserts").set(stats.inserts as f64);
     registry.gauge("tsdb_queries").set(stats.queries as f64);
+    // The engine's tally only grows, so advancing the counter by the
+    // difference keeps it equal to the snapshot.
+    let examined = registry.counter("tsdb_query_series_examined_total");
+    examined.inc_by(stats.series_examined.saturating_sub(examined.get()));
     registry
         .gauge("tsdb_out_of_order_inserts")
         .set(stats.out_of_order_inserts as f64);
@@ -105,8 +111,13 @@ mod tests {
         assert_eq!(reg.gauge("tsdb_samples").get(), 300.0);
         assert!(reg.gauge("tsdb_sealed_chunks").get() >= 1.0);
         assert!(reg.gauge("tsdb_compression_ratio").get() > 1.0);
-        // 16 default shards → 32 occupancy gauges + the 9 scalars.
-        assert_eq!(reg.len(), 9 + 2 * 16);
+        // Each matcher-less query tests the one series once.
+        assert_eq!(reg.counter("tsdb_query_series_examined_total").get(), 2);
+        db.query_range("cpu_usage", &[], 0, 9);
+        publish_stats(&reg, &db.stats());
+        assert_eq!(reg.counter("tsdb_query_series_examined_total").get(), 3);
+        // 16 default shards → 32 occupancy gauges + the 10 scalars.
+        assert_eq!(reg.len(), 10 + 2 * 16);
         let occupied: f64 = (0..16)
             .map(|i| {
                 reg.gauge_with(

@@ -14,10 +14,28 @@
 //! - **Sharding.** Series are distributed over [`TsdbConfig::num_shards`]
 //!   independently-locked shards by an FNV-1a hash of `(metric, labels)`
 //!   — a fixed hash function, so shard assignment is deterministic across
-//!   processes (no per-process `RandomState`). Within a shard, series
-//!   live in a `BTreeMap`; cross-shard query results are merged and
-//!   sorted by key, so every public result is in `(metric, labels)` order
-//!   regardless of shard count (envlint `hash-iter`-clean).
+//!   processes (no per-process `RandomState`). Cross-shard query results
+//!   are merged and sorted by label set, so every public result is in
+//!   `(metric, labels)` order regardless of shard count (envlint
+//!   `hash-iter`-clean).
+//! - **Label index.** Inside a shard, series are grouped by metric. Each
+//!   metric holds a slot table of `(labels, store)` and two ordered sets
+//!   of `(hash, slot)` pairs: the series' identity hash for the write
+//!   path, and the hash of every `key=value` label pair — the postings,
+//!   the inverted index Prometheus's TSDB keeps, with the slots of one
+//!   pair forming one contiguous range. Every query goes through one
+//!   selection path: with an `Eq` matcher it walks the shortest of those
+//!   matchers' posting lists and tests every matcher on each candidate;
+//!   with none it scans only that metric's slots. A query therefore
+//!   costs in proportion to the series it selects, not the size of the
+//!   database; [`TsdbStats::series_examined`] counts the series it
+//!   tested. Keying both sets by hash keeps label-set and string
+//!   comparisons out of the tree walks, so a write to an existing series
+//!   allocates nothing and a new series pays only for its slot and one
+//!   integer entry per label. A hash collision only adds candidates,
+//!   which the label comparison or matcher check then rejects.
+//!   Retention compacts a metric's slots and rebuilds its index when it
+//!   drops a series.
 //! - **Compression.** Each series is a [`crate::chunk::SeriesStore`]: an
 //!   open head plus Gorilla-compressed sealed chunks
 //!   ([`crate::codec`]). Decode is exact to the bit, so turning
@@ -43,13 +61,6 @@ pub struct Sample {
     pub timestamp: i64,
     /// Observed value.
     pub value: f64,
-}
-
-/// Identity of one series.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct SeriesKey {
-    metric: String,
-    labels: LabelSet,
 }
 
 /// A queryable series (metric, labels, samples).
@@ -170,6 +181,12 @@ pub struct TsdbStats {
     pub inserts: u64,
     /// Queries served since creation (instant, range, and step).
     pub queries: u64,
+    /// Series whose labels queries (and [`TimeSeriesDb::series_for`])
+    /// tested against their matchers, since creation. A query with an
+    /// `Eq` matcher tests only the shortest such matcher's posting list,
+    /// so a query selecting by one `Eq` matcher examines exactly the
+    /// series it matches.
+    pub series_examined: u64,
     /// Writes that landed inside sealed (compressed) territory and
     /// forced a decode/splice/re-seal cycle — misordered scraper traffic
     /// made visible.
@@ -209,10 +226,115 @@ impl TsdbStats {
     }
 }
 
+/// One series in a metric's slot table.
+#[derive(Debug)]
+struct Slot {
+    /// The series' identity hash ([`series_hash`]), the write-path key.
+    hash: u64,
+    labels: LabelSet,
+    store: SeriesStore,
+}
+
+/// One metric's series within a shard, with the label index that
+/// selects among them.
+#[derive(Debug, Default)]
+struct MetricSeries {
+    /// Slot table; a slot id is an index into it.
+    slots: Vec<Slot>,
+    /// `(identity hash, slot)` for the write path. A lookup compares
+    /// integers, then the labels of the slots sharing that hash (one,
+    /// short of a collision), instead of comparing label sets at every
+    /// tree level.
+    by_hash: BTreeSet<(u64, u32)>,
+    /// The postings: `(label-pair hash, slot)` for every label of every
+    /// slot ([`pair_hash`]). The slots carrying one pair are one
+    /// contiguous, ascending range. A hash collision can only add
+    /// candidates, which the query's matcher check then rejects.
+    postings: BTreeSet<(u64, u32)>,
+}
+
+impl MetricSeries {
+    /// The store of the series `labels` (identity hash `hash`), created
+    /// on first write.
+    fn store_mut(&mut self, hash: u64, labels: &LabelSet) -> &mut SeriesStore {
+        let found = slots_under(&self.by_hash, hash)
+            .find(|&slot| self.slots[slot as usize].labels == *labels);
+        let slot = match found {
+            Some(slot) => slot,
+            None => self.add(hash, labels.clone(), SeriesStore::default()),
+        };
+        &mut self.slots[slot as usize].store
+    }
+
+    /// Puts a series in the next slot and indexes it.
+    fn add(&mut self, hash: u64, labels: LabelSet, store: SeriesStore) -> u32 {
+        let slot = self.slots.len() as u32;
+        for (key, value) in labels.iter() {
+            self.postings.insert((pair_hash(key, value), slot));
+        }
+        self.by_hash.insert((hash, slot));
+        self.slots.push(Slot {
+            hash,
+            labels,
+            store,
+        });
+        slot
+    }
+
+    /// The slots a query must test: the shortest posting list among the
+    /// `Eq` matchers, or `None` when there is no `Eq` matcher and every
+    /// slot is a candidate.
+    fn candidates(&self, matchers: &[LabelMatcher]) -> Option<impl Iterator<Item = u32> + '_> {
+        matchers
+            .iter()
+            .filter_map(|m| match m {
+                LabelMatcher::Eq(key, value) => {
+                    Some(slots_under(&self.postings, pair_hash(key, value)))
+                }
+                LabelMatcher::NotEq(..) | LabelMatcher::In(..) => None,
+            })
+            .min_by_key(|slots| slots.clone().count())
+    }
+
+    /// Drops samples before `cutoff`. When that empties a series, the
+    /// survivors are re-slotted and the index rebuilt. Returns the number
+    /// of samples dropped.
+    fn retain_from(&mut self, cutoff: i64) -> usize {
+        let mut dropped = 0;
+        for slot in &mut self.slots {
+            dropped += slot.store.retain_from(cutoff);
+        }
+        if self.slots.iter().any(|slot| slot.store.is_empty()) {
+            let slots = std::mem::take(&mut self.slots);
+            *self = MetricSeries::default();
+            for slot in slots {
+                if !slot.store.is_empty() {
+                    self.add(slot.hash, slot.labels, slot.store);
+                }
+            }
+        }
+        dropped
+    }
+}
+
+/// The slots filed under `hash` in a `(hash, slot)` set, ascending.
+fn slots_under(set: &BTreeSet<(u64, u32)>, hash: u64) -> impl Iterator<Item = u32> + Clone + '_ {
+    set.range((hash, 0)..=(hash, u32::MAX))
+        .map(|&(_, slot)| slot)
+}
+
+/// One shard's series, keyed by metric.
+type ShardMap = BTreeMap<String, MetricSeries>;
+
+/// Series held in one shard.
+fn series_in(map: &ShardMap) -> usize {
+    map.values().map(|m| m.slots.len()).sum()
+}
+
 /// One lock domain: a slice of the keyspace plus its write-path counter.
 #[derive(Debug)]
 struct Shard {
-    series: TrackedRwLock<BTreeMap<SeriesKey, SeriesStore>>,
+    series: TrackedRwLock<ShardMap>,
     /// Samples currently stored in this shard, maintained on the write
     /// path so `num_samples` never walks the data.
     samples: AtomicU64,
@@ -227,6 +349,25 @@ impl Shard {
             series: TrackedRwLock::new("telemetry.tsdb.shard.series", BTreeMap::new()),
             samples: AtomicU64::new(0),
         }
+    }
+
+    /// Runs `write` on the store of `(metric, labels)` (identity hash
+    /// `hash`) under the shard's write lock, creating the series on first
+    /// write. Lookups take borrowed keys, so writing to an existing
+    /// series allocates nothing.
+    fn write<R>(
+        &self,
+        hash: u64,
+        metric: &str,
+        labels: &LabelSet,
+        write: impl FnOnce(&mut SeriesStore) -> R,
+    ) -> R {
+        let mut map = self.series.write();
+        let series = match map.get_mut(metric) {
+            Some(series) => series,
+            None => map.entry(metric.to_owned()).or_default(),
+        };
+        write(series.store_mut(hash, labels))
     }
 }
 
@@ -244,6 +385,7 @@ pub struct TimeSeriesDb {
     /// contends with the data locks.
     inserts: AtomicU64,
     queries: AtomicU64,
+    series_examined: AtomicU64,
     out_of_order: AtomicU64,
     append_latency: OpLatency,
     instant_latency: OpLatency,
@@ -268,6 +410,28 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
+/// Hash of one label pair, the postings key.
+fn pair_hash(key: &str, value: &str) -> u64 {
+    fnv1a(
+        fnv1a(fnv1a(FNV_OFFSET, key.as_bytes()), &[0xfe]),
+        value.as_bytes(),
+    )
+}
+
+/// Identity hash of the series `(metric, labels)`: FNV-1a over the
+/// metric and each label pair. It picks the shard and keys the shard's
+/// write-path lookup.
+fn series_hash(metric: &str, labels: &LabelSet) -> u64 {
+    let mut h = fnv1a(FNV_OFFSET, metric.as_bytes());
+    for (k, v) in labels.iter() {
+        h = fnv1a(h, &[0xff]);
+        h = fnv1a(h, k.as_bytes());
+        h = fnv1a(h, &[0xfe]);
+        h = fnv1a(h, v.as_bytes());
+    }
+    h
+}
+
 impl TimeSeriesDb {
     /// Creates an empty database with the default config (16 shards,
     /// compression on, seal at 256 samples).
@@ -286,6 +450,7 @@ impl TimeSeriesDb {
             config,
             inserts: AtomicU64::new(0),
             queries: AtomicU64::new(0),
+            series_examined: AtomicU64::new(0),
             out_of_order: AtomicU64::new(0),
             append_latency: OpLatency::default(),
             instant_latency: OpLatency::default(),
@@ -307,14 +472,11 @@ impl TimeSeriesDb {
     /// uses this to group writes so each worker touches exactly one
     /// shard lock.
     pub fn shard_of(&self, metric: &str, labels: &LabelSet) -> usize {
-        let mut h = fnv1a(FNV_OFFSET, metric.as_bytes());
-        for (k, v) in labels.iter() {
-            h = fnv1a(h, &[0xff]);
-            h = fnv1a(h, k.as_bytes());
-            h = fnv1a(h, &[0xfe]);
-            h = fnv1a(h, v.as_bytes());
-        }
-        (h % self.shards.len() as u64) as usize
+        self.shard_index(series_hash(metric, labels))
+    }
+
+    fn shard_index(&self, hash: u64) -> usize {
+        (hash % self.shards.len() as u64) as usize
     }
 
     /// Seal policy handed to the chunk layer on each write.
@@ -333,16 +495,11 @@ impl TimeSeriesDb {
     pub fn append(&self, metric: &str, labels: &LabelSet, sample: Sample) {
         let timer = start_timer();
         self.inserts.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.shards[self.shard_of(metric, labels)];
-        let outcome = {
-            let mut map = shard.series.write();
-            map.entry(SeriesKey {
-                metric: metric.to_string(),
-                labels: labels.clone(),
-            })
-            .or_default()
-            .append(sample, self.seal_limit())
-        };
+        let hash = series_hash(metric, labels);
+        let shard = &self.shards[self.shard_index(hash)];
+        let outcome = shard.write(hash, metric, labels, |store| {
+            store.append(sample, self.seal_limit())
+        });
         shard.samples.fetch_add(1, Ordering::Relaxed);
         if outcome.rewrote_sealed {
             self.out_of_order.fetch_add(1, Ordering::Relaxed);
@@ -358,16 +515,11 @@ impl TimeSeriesDb {
     pub fn upsert(&self, metric: &str, labels: &LabelSet, sample: Sample) {
         let timer = start_timer();
         self.inserts.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.shards[self.shard_of(metric, labels)];
-        let outcome = {
-            let mut map = shard.series.write();
-            map.entry(SeriesKey {
-                metric: metric.to_string(),
-                labels: labels.clone(),
-            })
-            .or_default()
-            .upsert(sample, self.seal_limit())
-        };
+        let hash = series_hash(metric, labels);
+        let shard = &self.shards[self.shard_index(hash)];
+        let outcome = shard.write(hash, metric, labels, |store| {
+            store.upsert(sample, self.seal_limit())
+        });
         if outcome.inserted {
             shard.samples.fetch_add(1, Ordering::Relaxed);
         }
@@ -386,22 +538,17 @@ impl TimeSeriesDb {
         let timer = start_timer();
         self.inserts
             .fetch_add(samples.len() as u64, Ordering::Relaxed);
-        let shard = &self.shards[self.shard_of(metric, labels)];
-        let mut rewrote = 0u64;
-        {
-            let mut map = shard.series.write();
-            let store = map
-                .entry(SeriesKey {
-                    metric: metric.to_string(),
-                    labels: labels.clone(),
-                })
-                .or_default();
+        let hash = series_hash(metric, labels);
+        let shard = &self.shards[self.shard_index(hash)];
+        let rewrote = shard.write(hash, metric, labels, |store| {
+            let mut rewrote = 0u64;
             for &s in samples {
                 if store.append(s, self.seal_limit()).rewrote_sealed {
                     rewrote += 1;
                 }
             }
-        }
+            rewrote
+        });
         shard
             .samples
             .fetch_add(samples.len() as u64, Ordering::Relaxed);
@@ -413,7 +560,10 @@ impl TimeSeriesDb {
 
     /// Number of distinct series.
     pub fn num_series(&self) -> usize {
-        self.shards.iter().map(|s| s.series.read().len()).sum()
+        self.shards
+            .iter()
+            .map(|s| series_in(&s.series.read()))
+            .sum()
     }
 
     /// Total number of samples across all series. O(shards): read from
@@ -423,6 +573,42 @@ impl TimeSeriesDb {
             .iter()
             .map(|s| s.samples.load(Ordering::Relaxed) as usize)
             .sum()
+    }
+
+    /// The one selection path behind every query: `pick` runs on each
+    /// series of `metric` whose labels satisfy every matcher, and its
+    /// `Some` results come back sorted by label set, so the output does
+    /// not depend on shard count.
+    fn select<T>(
+        &self,
+        metric: &str,
+        matchers: &[LabelMatcher],
+        mut pick: impl FnMut(&SeriesStore) -> Option<T>,
+    ) -> Vec<(LabelSet, T)> {
+        let mut out = Vec::new();
+        let mut examined = 0u64;
+        for shard in &self.shards {
+            let map = shard.series.read();
+            let Some(series) = map.get(metric) else {
+                continue;
+            };
+            let mut test = |slot: &Slot| {
+                examined += 1;
+                if slot.labels.matches(matchers) {
+                    if let Some(picked) = pick(&slot.store) {
+                        out.push((slot.labels.clone(), picked));
+                    }
+                }
+            };
+            let candidates = series.candidates(matchers);
+            match candidates {
+                Some(slots) => slots.for_each(|slot| test(&series.slots[slot as usize])),
+                None => series.slots.iter().for_each(test),
+            }
+        }
+        self.series_examined.fetch_add(examined, Ordering::Relaxed);
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
     }
 
     /// Instant query: for every matching series, the latest sample at or
@@ -435,21 +621,7 @@ impl TimeSeriesDb {
     ) -> Vec<(LabelSet, Sample)> {
         let timer = start_timer();
         self.queries.fetch_add(1, Ordering::Relaxed);
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let map = shard.series.read();
-            for (key, store) in map.iter() {
-                if key.metric != metric || !key.labels.matches(matchers) {
-                    continue;
-                }
-                if let Some(s) = store.latest_at_or_before(at) {
-                    out.push((key.labels.clone(), s));
-                }
-            }
-        }
-        // Shards interleave the keyspace; restore (metric, labels) order
-        // so results are independent of shard count.
-        out.sort_by(|a, b| a.0.cmp(&b.0));
+        let out = self.select(metric, matchers, |store| store.latest_at_or_before(at));
         self.instant_latency.observe(timer);
         out
     }
@@ -465,26 +637,12 @@ impl TimeSeriesDb {
     ) -> Vec<Series> {
         let timer = start_timer();
         self.queries.fetch_add(1, Ordering::Relaxed);
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let map = shard.series.read();
-            for (key, store) in map.iter() {
-                if key.metric != metric || !key.labels.matches(matchers) {
-                    continue;
-                }
-                let samples = store.samples_between(start, end);
-                if !samples.is_empty() {
-                    out.push(Series {
-                        metric: key.metric.clone(),
-                        labels: key.labels.clone(),
-                        samples,
-                    });
-                }
-            }
-        }
-        out.sort_by(|a, b| a.labels.cmp(&b.labels));
+        let out = self.select(metric, matchers, |store| {
+            let samples = store.samples_between(start, end);
+            (!samples.is_empty()).then_some(samples)
+        });
         self.range_latency.observe(timer);
-        out
+        into_series(metric, out)
     }
 
     /// Step-aligned range query (Prometheus-style): for every matching
@@ -509,38 +667,24 @@ impl TimeSeriesDb {
         assert!(step > 0, "step must be positive");
         let timer = start_timer();
         self.queries.fetch_add(1, Ordering::Relaxed);
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let map = shard.series.read();
-            for (key, store) in map.iter() {
-                if key.metric != metric || !key.labels.matches(matchers) {
-                    continue;
-                }
-                let samples = store.all_samples();
-                let mut points = Vec::new();
-                let mut t = start;
-                while t <= end {
-                    let idx = samples.partition_point(|s| s.timestamp <= t);
-                    if idx > 0 {
-                        points.push(Sample {
-                            timestamp: t,
-                            value: samples[idx - 1].value,
-                        });
-                    }
-                    t += step;
-                }
-                if !points.is_empty() {
-                    out.push(Series {
-                        metric: key.metric.clone(),
-                        labels: key.labels.clone(),
-                        samples: points,
+        let out = self.select(metric, matchers, |store| {
+            let samples = store.all_samples();
+            let mut points = Vec::new();
+            let mut t = start;
+            while t <= end {
+                let idx = samples.partition_point(|s| s.timestamp <= t);
+                if idx > 0 {
+                    points.push(Sample {
+                        timestamp: t,
+                        value: samples[idx - 1].value,
                     });
                 }
+                t += step;
             }
-        }
-        out.sort_by(|a, b| a.labels.cmp(&b.labels));
+            (!points.is_empty()).then_some(points)
+        });
         self.range_latency.observe(timer);
-        out
+        into_series(metric, out)
     }
 
     /// Applies a retention policy: drops every sample with
@@ -552,9 +696,9 @@ impl TimeSeriesDb {
         for shard in &self.shards {
             let mut map = shard.series.write();
             let mut dropped = 0usize;
-            map.retain(|_, store| {
-                dropped += store.retain_from(cutoff);
-                !store.is_empty()
+            map.retain(|_, series| {
+                dropped += series.retain_from(cutoff);
+                !series.slots.is_empty()
             });
             shard.samples.fetch_sub(dropped as u64, Ordering::Relaxed);
             total += dropped;
@@ -574,19 +718,20 @@ impl TimeSeriesDb {
         let mut sealed_uncompressed_bytes = 0;
         for shard in &self.shards {
             let map = shard.series.read();
-            for store in map.values() {
-                sealed_chunks += store.sealed_chunks();
-                sealed_bytes += store.compressed_bytes();
-                sealed_uncompressed_bytes += store.sealed_uncompressed_bytes();
+            for slot in map.values().flat_map(|m| &m.slots) {
+                sealed_chunks += slot.store.sealed_chunks();
+                sealed_bytes += slot.store.compressed_bytes();
+                sealed_uncompressed_bytes += slot.store.sealed_uncompressed_bytes();
             }
             shards.push(ShardStats {
-                series: map.len(),
+                series: series_in(&map),
                 samples: shard.samples.load(Ordering::Relaxed),
             });
         }
         TsdbStats {
             inserts: self.inserts.load(Ordering::Relaxed),
             queries: self.queries.load(Ordering::Relaxed),
+            series_examined: self.series_examined.load(Ordering::Relaxed),
             out_of_order_inserts: self.out_of_order.load(Ordering::Relaxed),
             num_series: shards.iter().map(|s| s.series).sum(),
             num_samples: shards.iter().map(|s| s.samples as usize).sum(),
@@ -606,9 +751,9 @@ impl TimeSeriesDb {
         let mut names = BTreeSet::new();
         for shard in &self.shards {
             let map = shard.series.read();
-            for key in map.keys() {
-                if !names.contains(&key.metric) {
-                    names.insert(key.metric.clone());
+            for metric in map.keys() {
+                if !names.contains(metric) {
+                    names.insert(metric.clone());
                 }
             }
         }
@@ -617,18 +762,23 @@ impl TimeSeriesDb {
 
     /// All label sets for a metric, sorted.
     pub fn series_for(&self, metric: &str) -> Vec<LabelSet> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let map = shard.series.read();
-            out.extend(
-                map.keys()
-                    .filter(|k| k.metric == metric)
-                    .map(|k| k.labels.clone()),
-            );
-        }
-        out.sort();
-        out
+        self.select(metric, &[], |_| Some(()))
+            .into_iter()
+            .map(|(labels, ())| labels)
+            .collect()
     }
+}
+
+/// Labelled sample runs of one metric as [`Series`].
+fn into_series(metric: &str, picked: Vec<(LabelSet, Vec<Sample>)>) -> Vec<Series> {
+    picked
+        .into_iter()
+        .map(|(labels, samples)| Series {
+            metric: metric.to_string(),
+            labels,
+            samples,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -820,6 +970,115 @@ mod tests {
         }
         // Idempotent at the same cutoff.
         assert_eq!(db.retain_from(6), 0);
+    }
+
+    #[test]
+    fn series_dropped_by_retention_and_rewritten_is_returned_once() {
+        let db = TimeSeriesDb::with_config(TsdbConfig {
+            num_shards: 1,
+            ..TsdbConfig::default()
+        });
+        let s = |t: i64| Sample {
+            timestamp: t,
+            value: t as f64,
+        };
+        // Slots 0..3 in one metric; retention drops the old EM_0 and EM_2,
+        // so EM_1 and EM_3 move to new slots.
+        for (i, t) in [(0, 1), (1, 10), (2, 2), (3, 10)] {
+            db.append("cpu_usage", &env(&format!("EM_{i}")), s(t));
+        }
+        assert_eq!(db.retain_from(5), 2);
+        db.append("cpu_usage", &env("EM_0"), s(20));
+        db.append("cpu_usage", &env("EM_3"), s(21));
+        for (id, expected) in [
+            ("EM_0", vec![20]),
+            ("EM_1", vec![10]),
+            ("EM_3", vec![10, 21]),
+        ] {
+            let got = db.query_range("cpu_usage", &[LabelMatcher::eq("env", id)], 0, 100);
+            assert_eq!(got.len(), 1, "{id} must be returned exactly once");
+            let ts: Vec<i64> = got[0].samples.iter().map(|x| x.timestamp).collect();
+            assert_eq!(ts, expected, "{id}");
+        }
+        assert!(db
+            .query_range("cpu_usage", &[LabelMatcher::eq("env", "EM_2")], 0, 100)
+            .is_empty());
+        assert_eq!(db.query_range("cpu_usage", &[], 0, 100).len(), 3);
+        assert_eq!(db.series_for("cpu_usage").len(), 3);
+        let stats = db.stats();
+        assert_eq!(db.num_series(), 3);
+        assert_eq!(stats.num_series, 3);
+        assert_eq!(stats.shards[0].series, 3);
+        assert_eq!(db.num_samples(), 4);
+        assert_eq!(stats.num_samples, 4);
+    }
+
+    #[test]
+    fn range_query_examines_only_the_series_it_returns() {
+        // 16 metrics x 256 environments = 4096 series over 16 shards.
+        let db = TimeSeriesDb::new();
+        for m in 0..16 {
+            for e in 0..256 {
+                let labels =
+                    env(&format!("EM_{e:03}")).with("testbed", format!("Testbed_{}", e % 8));
+                db.append_series(
+                    &format!("cf_{m}"),
+                    &labels,
+                    &[
+                        Sample {
+                            timestamp: 0,
+                            value: e as f64,
+                        },
+                        Sample {
+                            timestamp: 1,
+                            value: m as f64,
+                        },
+                    ],
+                );
+            }
+        }
+        assert_eq!(db.num_series(), 4096);
+        let examined = |query: &dyn Fn() -> usize| {
+            let before = db.stats().series_examined;
+            let returned = query();
+            (returned, db.stats().series_examined - before)
+        };
+        // One `env` matcher: one series tested, one returned.
+        let one_env = [LabelMatcher::eq("env", "EM_042")];
+        assert_eq!(
+            examined(&|| db.query_range("cf_7", &one_env, 0, 1).len()),
+            (1, 1)
+        );
+        // Two `Eq` matchers walk the shorter posting list.
+        let both = [
+            LabelMatcher::eq("testbed", "Testbed_2"),
+            LabelMatcher::eq("env", "EM_042"),
+        ];
+        assert_eq!(
+            examined(&|| db.query_range("cf_7", &both, 0, 1).len()),
+            (1, 1)
+        );
+        let testbed = [LabelMatcher::eq("testbed", "Testbed_2")];
+        assert_eq!(
+            examined(&|| db.query_instant("cf_7", &testbed, 1).len()),
+            (32, 32)
+        );
+        // An unindexed pair, or an unknown metric, tests nothing.
+        let absent = [LabelMatcher::eq("env", "EM_999")];
+        assert_eq!(
+            examined(&|| db.query_range("cf_7", &absent, 0, 1).len()),
+            (0, 0)
+        );
+        assert_eq!(
+            examined(&|| db.query_range("mem_usage", &one_env, 0, 1).len()),
+            (0, 0)
+        );
+        // With no `Eq` matcher only the metric's own series are scanned.
+        let not_one = [LabelMatcher::NotEq("env".into(), "EM_042".into())];
+        assert_eq!(
+            examined(&|| db.query_range_step("cf_7", &not_one, 0, 1, 1).len()),
+            (255, 256)
+        );
     }
 
     #[test]
